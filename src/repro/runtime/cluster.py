@@ -60,9 +60,6 @@ class ClusterOptions:
     replica_kwargs: Dict = field(default_factory=dict)
     client_kwargs: Dict = field(default_factory=dict)
     aom_kwargs: Dict = field(default_factory=dict)
-    # Engine knobs forwarded to Simulator (e.g. {"timer_wheel": False} to
-    # A/B the fast path; executions are identical either way).
-    sim_kwargs: Dict = field(default_factory=dict)
 
     def resolved_batch(self, protocol_default: int) -> int:
         """Batch cap: explicit option wins, else the protocol's default.
@@ -113,7 +110,7 @@ def build_cluster(options: ClusterOptions) -> Cluster:
     """Assemble a system for ``options.protocol``."""
     if options.protocol not in ALL_PROTOCOLS:
         raise ValueError(f"unknown protocol {options.protocol!r}")
-    sim = Simulator(seed=options.seed, **options.sim_kwargs)
+    sim = Simulator(seed=options.seed)
     fabric = Fabric(sim, options.profile)
     authority = make_authority(options.crypto_backend)
     pairwise = PairwiseKeys(b"cluster-bootstrap/%d" % options.seed)

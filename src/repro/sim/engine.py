@@ -5,52 +5,27 @@ events. Events scheduled for the same instant fire in the order they were
 scheduled (a monotonically increasing sequence number breaks ties), which
 makes whole-system runs bit-for-bit reproducible for a given seed.
 
-Two structural optimizations keep the engine fast under timer churn
-without changing any execution:
-
-- **Hierarchical timer wheel.** Protocols arm far more timers than they
-  let expire (client retransmit timers are cancelled on every reply).
-  Timers scheduled at least ``wheel_threshold_ns`` ahead are parked in
-  coarse time-slot buckets instead of the heap; a bucket is only spilled
-  into the heap when the clock reaches its slot. A timer cancelled before
-  its slot is reached never touches the heap at all — its bucket entry is
-  skipped at spill time. Because every spill happens *before* the engine
-  pops any event at or after the bucket's slot start, and heap order is
-  the total order ``(time, seq)``, executions are bit-identical with the
-  wheel on or off.
-- **Lazy-cancel heap compaction.** Cancellation stays O(1) (a flag), but
-  the engine counts dead entries and rebuilds the heap/wheel when more
-  than half of the resident entries are cancelled, so pathological
-  cancel-heavy workloads cannot grow the heap without bound.
+Heap entries are ``(time, seq, handle)`` tuples: ``seq`` is unique, so the
+heap orders entries by comparing two ints in C and never compares the
+handles themselves. Cancellation is lazy: a cancelled handle stays in the
+heap and is skipped when it reaches the top.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.randomness import RandomStreams
-
-#: Slot widths of the timer-wheel levels, in ns: ~65 us, ~4.2 ms, ~268 ms.
-#: A timer lands in the finest level whose span (granularity * 64 slots)
-#: still covers its delay, so short retransmit timers get fine slots and
-#: long housekeeping timers coarse ones.
-WHEEL_GRANULARITIES: Tuple[int, ...] = (1 << 16, 1 << 22, 1 << 28)
-
-#: Slots per level used when picking a timer's level (see above).
-_WHEEL_SPAN_SLOTS = 64
-
-#: Compaction never triggers below this many dead entries.
-_COMPACT_MIN_DEAD = 64
 
 
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
-    Cancellation is lazy: the heap (or wheel-bucket) entry stays in place
-    but is skipped when popped. This keeps ``cancel`` O(1), which matters
-    because protocols cancel far more timers (retransmit timers that never
-    fire) than they let expire.
+    Cancellation is lazy: the heap entry stays in place but is skipped
+    when popped. This keeps ``cancel`` O(1), which matters because
+    protocols cancel far more timers (retransmit timers that never fire)
+    than they let expire.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -61,26 +36,28 @@ class EventHandle:
         seq: int,
         callback: Callable[..., None],
         args: tuple,
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._sim = sim
+        # The owning simulator while the event is pending; cleared when
+        # the event fires or is cancelled.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call multiple times."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancel()
+        """Prevent the event from firing.
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        Safe to call multiple times, and a no-op once the event has fired.
+        """
+        sim = self._sim
+        if sim is None:
+            return
+        self._sim = None
+        self.cancelled = True
+        sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -96,55 +73,22 @@ class Simulator:
         Master seed for all random streams drawn through :attr:`streams`.
         Two simulators built with the same seed and the same scheduling
         sequence produce identical executions.
-    timer_wheel:
-        Route far-out relative timers through the timer wheel (default
-        on; executions are bit-identical either way).
-    wheel_granularities:
-        Slot widths (ns) of the wheel levels, finest first.
-    wheel_threshold_ns:
-        Minimum ``schedule`` delay for a timer to use the wheel; defaults
-        to the finest granularity. Near-term events always use the heap.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        timer_wheel: bool = True,
-        wheel_granularities: Tuple[int, ...] = WHEEL_GRANULARITIES,
-        wheel_threshold_ns: Optional[int] = None,
-    ):
+    def __init__(self, seed: int = 0):
         self.now: int = 0
         self.streams = RandomStreams(seed)
         # Optional repro.telemetry.Telemetry sink. Every instrumented
         # layer reads this attribute and publishes only when it is set,
         # so a run without telemetry pays one None check per hook.
         self.telemetry = None
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._events_processed = 0
         self._stopped = False
         # Live = scheduled and neither fired nor cancelled. Maintained
         # incrementally so telemetry never scans the heap.
         self._live = 0
-        # Dead = cancelled but still resident in the heap or wheel.
-        self._dead = 0
-        self._wheel_enabled = bool(timer_wheel) and len(wheel_granularities) > 0
-        self._wheel_granularities: Tuple[int, ...] = tuple(wheel_granularities)
-        self._wheel_threshold = (
-            wheel_threshold_ns
-            if wheel_threshold_ns is not None
-            else (self._wheel_granularities[0] if self._wheel_granularities else 0)
-        )
-        # Per level: {slot_index: [EventHandle, ...]} plus a min-heap of
-        # pending slot indices (may contain stale entries; skipped lazily).
-        self._wheel_buckets: List[Dict[int, List[EventHandle]]] = [
-            {} for _ in self._wheel_granularities
-        ]
-        self._wheel_slots: List[List[int]] = [[] for _ in self._wheel_granularities]
-        self._wheel_count = 0  # handles resident in the wheel (incl. cancelled)
-        # Lower bound on the earliest pending slot start, so the run loop
-        # can skip the per-level scan while the heap top precedes it.
-        self._wheel_next = 0
 
     @property
     def events_processed(self) -> int:
@@ -162,156 +106,34 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self.now + delay, self._seq, callback, args, self)
-        self._seq += 1
-        self._live += 1
-        if self._wheel_enabled and delay >= self._wheel_threshold:
-            self._wheel_insert(handle)
-        else:
-            heapq.heappush(self._heap, handle)
-        return handle
+        return self._push(self.now + delay, callback, args)
 
     def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        handle = EventHandle(time, self._seq, callback, args, self)
-        self._seq += 1
+        return self._push(time, callback, args)
+
+    def _push(self, time: int, callback: Callable[..., None], args: tuple) -> EventHandle:
+        seq = self._seq
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, handle)
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def stop(self) -> None:
         """Halt the run loop after the current event returns."""
         self._stopped = True
 
-    # --------------------------------------------------------- timer wheel
-
-    def _wheel_insert(self, handle: EventHandle) -> None:
-        distance = handle.time - self.now
-        grans = self._wheel_granularities
-        level = len(grans) - 1
-        for i, granularity in enumerate(grans):
-            if distance < granularity * _WHEEL_SPAN_SLOTS:
-                level = i
-                break
-        granularity = grans[level]
-        slot = handle.time // granularity
-        buckets = self._wheel_buckets[level]
-        bucket = buckets.get(slot)
-        if bucket is None:
-            buckets[slot] = [handle]
-            heapq.heappush(self._wheel_slots[level], slot)
-            start = slot * granularity
-            if self._wheel_count == 0 or start < self._wheel_next:
-                self._wheel_next = start
-        else:
-            bucket.append(handle)
-        self._wheel_count += 1
-
-    def _wheel_earliest(self) -> Optional[Tuple[int, int]]:
-        """``(slot_start_ns, level)`` of the earliest pending bucket."""
-        best: Optional[Tuple[int, int]] = None
-        for level, slots in enumerate(self._wheel_slots):
-            buckets = self._wheel_buckets[level]
-            while slots and slots[0] not in buckets:
-                heapq.heappop(slots)  # stale index left by compaction
-            if slots:
-                start = slots[0] * self._wheel_granularities[level]
-                if best is None or start < best[0]:
-                    best = (start, level)
-        return best
-
-    def _wheel_spill(self, level: int) -> None:
-        """Move the earliest bucket of ``level`` into the heap.
-
-        Cancelled entries are dropped here — they never touch the heap.
-        Heap order is the total order ``(time, seq)``, so spilling early
-        (a coarse bucket can hold events well past its slot start) cannot
-        perturb execution order.
-        """
-        slot = heapq.heappop(self._wheel_slots[level])
-        bucket = self._wheel_buckets[level].pop(slot)
-        self._wheel_count -= len(bucket)
-        heap = self._heap
-        for handle in bucket:
-            if handle.cancelled:
-                self._dead -= 1
-            else:
-                heapq.heappush(heap, handle)
-
-    def _wheel_spill_due(self, bound: Optional[int]) -> None:
-        """Spill every bucket that could hold the next runnable event.
-
-        After this returns, any wheel-resident event fires strictly later
-        than the current heap top (and later than ``bound``, when no heap
-        event precedes the wheel), so popping the heap is safe.
-        """
-        heap = self._heap
-        while self._wheel_count:
-            earliest = self._wheel_earliest()
-            if earliest is None:
-                break
-            start, level = earliest
-            if heap and heap[0].time < start:
-                self._wheel_next = start  # exact again after lazy skips
-                break  # heap top precedes every wheel event
-            if not heap and bound is not None and start > bound:
-                self._wheel_next = start
-                break  # every wheel event lies beyond the run bound
-            self._wheel_spill(level)
-
-    # ----------------------------------------------------------- occupancy
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._dead += 1
-        resident = len(self._heap) + self._wheel_count
-        if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > resident:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap and wheel without their cancelled entries.
-
-        In place: ``run()`` keeps a local alias of the heap list across
-        callbacks (which is where cancels — and hence compactions —
-        happen), so the list object's identity must be preserved.
-        """
-        heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
-        heapq.heapify(heap)
-        count = 0
-        for buckets in self._wheel_buckets:
-            for slot in list(buckets):
-                bucket = [h for h in buckets[slot] if not h.cancelled]
-                if bucket:
-                    buckets[slot] = bucket
-                    count += len(bucket)
-                else:
-                    # The slot index stays in the slot heap; it is skipped
-                    # lazily by _wheel_earliest.
-                    del buckets[slot]
-        self._wheel_count = count
-        self._dead = 0
-
     # ------------------------------------------------------------- queries
 
     def peek_time(self) -> Optional[int]:
         """Virtual time of the next pending event, or None when idle."""
         heap = self._heap
-        while True:
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-                self._dead -= 1
-            if not self._wheel_count:
-                return heap[0].time if heap else None
-            earliest = self._wheel_earliest()
-            if earliest is None:
-                return heap[0].time if heap else None
-            start, level = earliest
-            if heap and heap[0].time < start:
-                return heap[0].time
-            self._wheel_spill(level)
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------ run loop
 
@@ -334,7 +156,6 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
         park = False  # advance the clock to ``until`` on exit
         while True:
             if self._stopped:
@@ -342,22 +163,21 @@ class Simulator:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            if self._wheel_count and (not heap or self._wheel_next <= heap[0].time):
-                self._wheel_spill_due(until)
             if not heap:
-                park = True  # drained (any wheel leftovers lie past `until`)
-                break
-            event = pop(heap)
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            if until is not None and event.time > until:
-                push(heap, event)
                 park = True
                 break
-            self.now = event.time
-            event.callback(*event.args)
+            entry = pop(heap)
+            event = entry[2]
+            if event.cancelled:
+                continue
+            if until is not None and entry[0] > until:
+                heapq.heappush(heap, entry)
+                park = True
+                break
+            self.now = entry[0]
+            event._sim = None  # fired: a later cancel() is a no-op
             self._live -= 1
+            event.callback(*event.args)
             processed += 1
             self._events_processed += 1
         if park and until is not None and self.now < until:

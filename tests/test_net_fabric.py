@@ -5,8 +5,9 @@ import pytest
 from repro.net import Endpoint, Fabric, GroupAddress, LinkProfile, NetworkProfile
 from repro.net.fabric import GroupHandler
 from repro.net.packet import Packet, wire_size_of
+from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim import Simulator
-from repro.sim.clock import us
+from repro.sim.clock import ms, us
 
 
 class Sink(Endpoint):
@@ -213,3 +214,33 @@ class TestWireSizes:
         small = profile.one_way_ns(64)
         large = profile.one_way_ns(64_000)
         assert large > small
+
+
+class TestFabricWatermarkPruning:
+    def test_stale_fifo_watermarks_are_swept(self):
+        sim = Simulator()
+        fabric = Fabric(sim)
+        fabric._prune_interval = 4
+        fabric._deliveries_until_prune = 4
+        # Seed watermarks in the past and the future.
+        sim.schedule(ms(1), lambda: None)
+        sim.run()
+        fabric._last_arrival = {
+            (0, 1): sim.now - 100,          # stale: can never clamp again
+            (2, 3): sim.now + ms(5),        # in-flight: must survive
+        }
+        fabric._prune_fifo_watermarks()
+        assert (0, 1) not in fabric._last_arrival
+        assert fabric._last_arrival[(2, 3)] == sim.now + ms(5)
+        assert fabric._deliveries_until_prune == 4
+
+    def test_watermark_map_stays_bounded_under_load(self):
+        # A run touches a handful of (src, dst) pairs; the map must not
+        # grow with delivery count (it is pruned to in-flight pairs).
+        cluster = build_cluster(ClusterOptions(protocol="neobft-hm", seed=7, num_clients=4))
+        cluster.fabric._prune_interval = 64
+        cluster.fabric._deliveries_until_prune = 64
+        Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(3)).run()
+        pairs = len(cluster.fabric._last_arrival)
+        endpoints = len(cluster.fabric._endpoints)
+        assert pairs <= endpoints * endpoints

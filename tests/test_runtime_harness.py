@@ -4,7 +4,13 @@ import pytest
 
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.runtime.cluster import ALL_PROTOCOLS
-from repro.runtime.harness import default_echo_op, latency_throughput_sweep, max_throughput, run_once
+from repro.runtime.harness import (
+    default_echo_op,
+    latency_throughput_sweep,
+    max_throughput,
+    run_once,
+    run_sweep,
+)
 from repro.sim.clock import ms
 
 
@@ -99,3 +105,28 @@ class TestMeasurement:
 
         gen = default_echo_op(random.Random(0), size=64)
         assert len(gen()) == 64
+
+
+class TestParallelSweep:
+    SMALL = dict(protocol="neobft-hm", seed=7, num_clients=4)
+    WINDOW = dict(warmup_ns=ms(1), duration_ns=ms(3))
+
+    def test_parallel_sweep_equals_serial(self):
+        base = ClusterOptions(**self.SMALL)
+        serial = run_sweep(base, [1, 4], seeds=[7, 11], workers=1, **self.WINDOW)
+        parallel = run_sweep(base, [1, 4], seeds=[7, 11], workers=4, **self.WINDOW)
+        assert len(serial) == len(parallel) == 4
+        for s, p in zip(serial, parallel):
+            assert s == p
+
+    def test_unpicklable_next_op_falls_back_to_serial(self):
+        state = {"n": 0}  # closure over local state: not picklable as a task
+
+        def next_op():
+            state["n"] += 1
+            return b"\x01" * 8
+
+        base = ClusterOptions(**self.SMALL)
+        results = run_sweep(base, [1, 2], workers=4, next_op=next_op, **self.WINDOW)
+        assert len(results) == 2
+        assert state["n"] > 0  # ran in-process

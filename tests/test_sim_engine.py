@@ -167,70 +167,40 @@ class TestRunBounds:
         assert sim.peek_time() == 20
 
 
-class TestTimerWheel:
-    """The wheel is a staging area: executions are identical with it off."""
+class TestPlainHeap:
+    """Lazy cancel on a plain ``(time, seq)`` heap."""
 
-    def _trace(self, timer_wheel: bool, seed: int = 3):
-        import random
-
-        sim = Simulator(seed=seed, timer_wheel=timer_wheel)
-        rng = random.Random(seed)
-        fired = []
-        handles = []
-
-        def arm(tag):
-            fired.append((tag, sim.now))
-            if len(fired) < 400:
-                # Delays straddle the wheel threshold and all granularities.
-                delay = rng.choice([1, 100, 70_000, 1 << 18, 1 << 23, 1 << 27])
-                handles.append(sim.schedule(delay, arm, len(fired)))
-                if len(handles) % 3 == 0:
-                    handles[rng.randrange(len(handles))].cancel()
-
-        sim.schedule(0, arm, 0)
-        sim.run()
-        return fired
-
-    def test_wheel_on_off_identical_execution(self):
-        assert self._trace(timer_wheel=True) == self._trace(timer_wheel=False)
-
-    def test_wheel_resident_timer_cancel_never_fires(self):
+    def test_cancelled_timer_never_fires(self):
+        # A retransmit-style timer cancelled from a handler while the run
+        # is in progress is skipped; its neighbours still fire.
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1 << 20, fired.append, "x")  # lands in the wheel
-        sim.schedule(1 << 21, fired.append, "y")
-        handle.cancel()
+        timer = sim.schedule(1 << 20, fired.append, "timer")
+        sim.schedule(10, timer.cancel)
+        sim.schedule(1 << 21, fired.append, "after")
         sim.run()
-        assert fired == ["y"]
+        assert fired == ["after"]
 
-    def test_peek_time_sees_wheel_events(self):
-        sim = Simulator()
-        sim.schedule(1 << 20, lambda: None)  # wheel
-        assert sim.peek_time() == 1 << 20
-        sim2 = Simulator()
-        sim2.schedule(1 << 20, lambda: None)  # wheel
-        sim2.schedule(10, lambda: None)  # heap
-        assert sim2.peek_time() == 10
-
-    def test_same_time_cross_structure_preserves_schedule_order(self):
-        # An event routed to the heap and one routed to the wheel that
-        # land at the same instant still fire in scheduling order.
-        sim = Simulator()
-        fired = []
-        sim.schedule(1 << 20, fired.append, "wheel-first")
-        sim.run(until=(1 << 20) - 1000)  # advance so a short delay coincides
-        sim.schedule(1000, fired.append, "heap-second")  # below wheel threshold
-        sim.run()
-        assert fired == ["wheel-first", "heap-second"]
-
-    def test_run_until_parks_before_wheel_events(self):
+    def test_run_until_parks_while_later_events_pending(self):
         sim = Simulator()
         fired = []
         sim.schedule(1 << 20, fired.append, "late")
-        sim.run(until=1000)
-        assert fired == [] and sim.now == 1000
+        for bound in (1_000, 2_000):
+            sim.run(until=bound)
+            assert fired == [] and sim.now == bound
         sim.run()
-        assert fired == ["late"]
+        assert fired == ["late"] and sim.now == 1 << 20
+
+    def test_same_instant_events_fire_in_scheduling_order(self):
+        # Two events armed at different times, with different delays,
+        # that land on the same instant fire in scheduling order.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1 << 20, fired.append, "first")
+        sim.run(until=(1 << 20) - 1000)
+        sim.schedule(1000, fired.append, "second")
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_live_events_counter(self):
         sim = Simulator()
@@ -238,39 +208,45 @@ class TestTimerWheel:
         assert sim.live_events == 10
         for handle in handles[:4]:
             handle.cancel()
+            handle.cancel()  # idempotent
         assert sim.live_events == 6
         sim.run()
         assert sim.live_events == 0
 
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        fired = sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        sim.run(until=15)
+        assert sim.live_events == 1
+        fired.cancel()
+        assert sim.live_events == 1
+        assert not fired.cancelled
+        sim.run()
+        assert sim.live_events == 0
 
-class TestCompaction:
-    def test_mass_cancellation_compacts_and_survivors_fire(self):
-        sim = Simulator(timer_wheel=False)
+    def test_live_events_after_a_protocol_run(self):
+        # Clients cancel retransmit timers that have already fired; the
+        # counter must still read zero once nothing is pending.
+        from repro.runtime import ClusterOptions, Measurement, build_cluster
+
+        cluster = build_cluster(ClusterOptions(protocol="zyzzyva", num_clients=8, seed=7))
+        Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(4)).run()
+        assert cluster.sim.peek_time() is None
+        assert cluster.sim.live_events == 0
+
+    def test_mass_cancel_survivors_fire_in_order(self):
+        sim = Simulator()
         fired = []
-        handles = [sim.schedule(1000 + i, fired.append, i) for i in range(500)]
+        handles = [sim.schedule(1000 + (i * 7919) % 500, fired.append, i) for i in range(500)]
         for i, handle in enumerate(handles):
             if i % 10:  # cancel 90%
                 handle.cancel()
-        # Compaction triggered (dead > 64 and dead > half the residents).
-        assert len(sim._heap) < 500
+        assert sim.live_events == 50
         sim.run()
-        assert fired == [i for i in range(500) if i % 10 == 0]
-
-    def test_compaction_during_run_keeps_heap_identity(self):
-        # run() holds a local alias to the heap; compaction must mutate
-        # in place or post-compaction schedules go to a different list.
-        sim = Simulator(timer_wheel=False)
-        fired = []
-
-        def phase_one():
-            handles = [sim.schedule(100 + i, lambda: None) for i in range(300)]
-            for handle in handles:
-                handle.cancel()
-            sim.schedule(50, fired.append, "after-compaction")
-
-        sim.schedule(1, phase_one)
-        sim.run()
-        assert fired == ["after-compaction"]
+        survivors = [i for i in range(500) if i % 10 == 0]
+        assert fired == sorted(survivors, key=lambda i: (i * 7919) % 500)
+        assert sim.live_events == 0
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ wire sizes are sane."""
 import pytest
 
 from repro.aom.messages import Confirm, OrderingCertificate, AuthVariant
+from repro.net.packet import UDP_HEADER_BYTES, wire_size_of
 from repro.protocols.messages import ClientReply, ClientRequest
 from repro.protocols.neobft.messages import (
     EpochStart,
@@ -130,3 +131,15 @@ class TestWireSizes:
                                    hm_vector=vector)
         bare = OrderingCertificate(1, 1, 1, b"d" * 32, None, 0, AuthVariant.HMAC)
         assert cert.wire_size() > bare.wire_size()
+
+
+class TestWireSizeCache:
+    def test_dispatch_matches_value_shapes(self):
+        # Representative payloads through the per-type dispatch table.
+        cases = [
+            (None, 1), (True, 1), (7, 8), (1.5, 8),
+            (b"abcd", 4), ("abc", 3),
+            ([1, 2], 2 + 8 + 8), ({"k": b"xy"}, 2 + 1 + 2),
+        ]
+        for value, expected in cases:
+            assert wire_size_of(value) == UDP_HEADER_BYTES + expected, value
