@@ -5,8 +5,9 @@ Two interchangeable backends sit behind one interface:
 - :class:`RealBackend` signs with the from-scratch secp256k1 ECDSA in
   :mod:`repro.crypto.ecdsa`. Used by the crypto test suite and available
   for (slow) end-to-end runs.
-- :class:`FastBackend` produces simulation-grade signatures: a SipHash tag
-  under a per-identity secret held *only* by the :class:`KeyAuthority`.
+- :class:`FastBackend` produces simulation-grade signatures: a keyed
+  BLAKE2b tag under a per-identity secret held *only* by the
+  :class:`KeyAuthority`.
   Within the simulation it preserves the security semantics that matter to
   the protocols — a signature verifies if and only if it was produced by
   the claimed signer's own ``sign`` call over exactly those bytes — while
@@ -28,8 +29,7 @@ from typing import Dict, Optional, Tuple
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.ecdsa import PrivateKey, PublicKey
-from repro.crypto.siphash import halfsiphash24, siphash24
-from repro.fastpath import get_cache
+from repro.crypto.hmacvec import sim_mac
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,8 @@ class RealBackend(SignatureBackend):
         return public.verify(sha256_digest(data), (r, s))
 
 
-#: Sign-then-verify pairs recompute the same tag: the signer's tag is the
-#: verifier's expected value, so verifies hit what sign stored (and quorum
-#: re-verifies hit again). Keyed on (secret, data) — the secret already
-#: encodes both the signer identity and the backend's seed, so distinct
-#: backends sharing this process-global cache cannot collide.
-_FASTSIGN_CACHE = get_cache("fastsign", maxsize=1 << 15)
-
-
 class FastBackend(SignatureBackend):
-    """Simulation-grade signatures: SipHash tags under authority-held secrets."""
+    """Simulation-grade signatures: BLAKE2b tags under authority-held secrets."""
 
     name = "fast"
 
@@ -151,15 +143,7 @@ class FastBackend(SignatureBackend):
 
     @staticmethod
     def _tag(secret: bytes, data: bytes) -> bytes:
-        cache = _FASTSIGN_CACHE
-        if not cache.enabled:
-            return siphash24(secret, data) + siphash24(secret[::-1], data)
-        key = (secret, data)
-        tag = cache.lookup(key)
-        if tag is None:
-            tag = siphash24(secret, data) + siphash24(secret[::-1], data)
-            cache.store(key, tag)
-        return tag
+        return hashlib.blake2b(data, key=secret, digest_size=FastBackend.TAG_SIZE).digest()
 
     def sign(self, node_id: int, data: bytes) -> Signature:
         return Signature(node_id, self._tag(self._secrets[node_id], data), self.name)
@@ -271,7 +255,7 @@ class CryptoContext:
         """Symmetric MAC tag with cost accounting."""
         self._count("mac")
         self._bill(self.cost.hmac_ns)
-        return halfsiphash24(key[:8].ljust(8, b"\x00"), data)
+        return sim_mac(key, data)
 
     def verify_mac(self, key: bytes, data: bytes, tag: bytes) -> bool:
         """Verify a MAC tag with cost accounting."""

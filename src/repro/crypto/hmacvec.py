@@ -13,6 +13,7 @@ Two consumers:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,6 +25,18 @@ HMAC_TAG_SIZE = 4
 def compute_hmac(key: bytes, data: bytes) -> bytes:
     """One HalfSipHash-2-4 tag (4 bytes) as used by the switch."""
     return halfsiphash24(key, data)
+
+
+def sim_mac(key: bytes, data: bytes) -> bytes:
+    """A 4-byte keyed BLAKE2s tag, computed in C.
+
+    The simulation's MAC for replica and client messages and for the
+    switch's ``fast`` tag scheme. All the protocols need is that a tag
+    verifies if and only if it was made with that key over those bytes;
+    the simulated cost of a HalfSipHash is charged separately by the
+    cost model.
+    """
+    return hashlib.blake2s(data, key=key, digest_size=HMAC_TAG_SIZE).digest()
 
 
 @dataclass(frozen=True)

@@ -96,37 +96,16 @@ def _sipround32(v0: int, v1: int, v2: int, v3: int):
     return v0, v1, v2, v3
 
 
-from repro.fastpath import get_cache
-
-#: Tags are recomputed at every verify site (sender MACs, receiver checks
-#: the same (key, data) pair), so roughly half of all one-shot calls are
-#: repeats — served from here.
-_HMAC_CACHE = get_cache("hmac", maxsize=1 << 15)
-
-
 def halfsiphash24(key: bytes, data: bytes) -> bytes:
-    """HalfSipHash-2-4: 8-byte ``key``, arbitrary ``data`` -> 4-byte tag."""
+    """HalfSipHash-2-4: 8-byte ``key``, arbitrary ``data`` -> 4-byte tag.
+
+    The round function is unrolled inline. Byte-identical to driving
+    :class:`HalfSipHashState` (the property tests cross-check the two);
+    kept separate because the state machine exists to mirror the
+    hardware pipeline pass-by-pass.
+    """
     if len(key) != 8:
         raise ValueError("HalfSipHash-2-4 requires an 8-byte key")
-    cache = _HMAC_CACHE
-    if not cache.enabled:
-        return _halfsiphash24_raw(key, data)
-    cache_key = (key, data)
-    tag = cache.lookup(cache_key)
-    if tag is None:
-        tag = _halfsiphash24_raw(key, data)
-        cache.store(cache_key, tag)
-    return tag
-
-
-def _halfsiphash24_raw(key: bytes, data: bytes) -> bytes:
-    """One-shot HalfSipHash-2-4 with the round function unrolled inline.
-
-    Byte-identical to driving :class:`HalfSipHashState` (the property
-    tests cross-check the two); kept separate because the one-shot path
-    runs millions of times per simulation while the state machine exists
-    to mirror the hardware pipeline pass-by-pass.
-    """
     k0 = int.from_bytes(key[:4], "little")
     k1 = int.from_bytes(key[4:], "little")
     v0 = k0

@@ -16,7 +16,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import fastpath
 from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
 from repro.sim.clock import MICROSECOND, ms, secs
 from repro.sim.monitor import Histogram, RateMeter
@@ -99,9 +98,6 @@ class Measurement:
             cluster.sim.telemetry = telemetry
         self.drain_step_ns = drain_step_ns
         self.drain_deadline_ns = drain_deadline_ns
-        # Fast-path caches are process-global; remember their counters now
-        # so the run's telemetry reports this run's hits/misses only.
-        self._cache_baseline = fastpath.snapshot_counters() if telemetry else None
         self.latency = Histogram("client-latency")
         self.meter = RateMeter()
         rng = cluster.sim.streams.get("workload.echo")
@@ -136,10 +132,6 @@ class Measurement:
         sim.run_for(self.duration_ns)
         self.meter.close_window(sim.now)
         self._drain()
-        if self.telemetry is not None:
-            fastpath.publish_cache_metrics(
-                self.telemetry.metrics, since=self._cache_baseline
-            )
         merged_metrics: Dict[str, int] = {}
         for replica in self.cluster.replicas:
             for key, value in replica.metrics.as_dict().items():

@@ -23,11 +23,10 @@ Timing consequences (these produce Figures 4 and 6):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hmacvec import HmacVector
+from repro.crypto.hmacvec import HmacVector, sim_mac
 from repro.crypto.siphash import halfsiphash24
 from repro.sim.clock import ns, us
 from repro.switchfab.tofino import (
@@ -48,9 +47,9 @@ class TagScheme:
     """How HMAC tag bytes are actually produced.
 
     ``real`` computes genuine HalfSipHash-2-4 (used by the crypto and aom
-    test suites); ``fast`` computes a keyed SHA-256 truncation via hashlib
-    (C speed) with identical interface and security semantics inside the
-    simulation. Simulated timing is identical either way — timing comes
+    test suites); ``fast`` computes a keyed BLAKE2s tag in C
+    (:func:`repro.crypto.hmacvec.sim_mac`) with identical interface and
+    security semantics inside the simulation. Simulated timing is identical either way — timing comes
     from the engine model, never from wall-clock.
     """
 
@@ -62,7 +61,7 @@ class TagScheme:
         if name == "real":
             self._fn = lambda key, data: halfsiphash24(key[:8].ljust(8, b"\x00"), data)
         else:
-            self._fn = lambda key, data: hashlib.sha256(key + data).digest()[:4]
+            self._fn = sim_mac
 
     def tag(self, key: bytes, data: bytes) -> bytes:
         """Compute one 4-byte tag."""
