@@ -49,8 +49,9 @@ class TagScheme:
     ``real`` computes genuine HalfSipHash-2-4 (used by the crypto and aom
     test suites); ``fast`` computes a keyed BLAKE2s tag in C
     (:func:`repro.crypto.hmacvec.sim_mac`) with identical interface and
-    security semantics inside the simulation. Simulated timing is identical either way — timing comes
-    from the engine model, never from wall-clock.
+    security semantics inside the simulation. Simulated timing is
+    identical either way — timing comes from the engine model, never from
+    wall-clock.
     """
 
     def __init__(self, name: str = "fast"):
