@@ -197,18 +197,20 @@ class AomSequencer(GroupHandler):
     def _multicast(self, aom_packet: AomPacket) -> None:
         from repro.net.packet import wire_size_of
 
+        base_size = wire_size_of(aom_packet)
         for receiver in self.receivers:
-            outgoing = aom_packet
+            outgoing, size = aom_packet, base_size
             if self.equivocation is not None:
                 maybe = self.equivocation(receiver, aom_packet)
                 if maybe is None:
                     continue
-                outgoing = maybe
+                if maybe is not aom_packet:
+                    outgoing, size = maybe, wire_size_of(maybe)
             egress = Packet(
                 src=self.switch_address,
                 dst=receiver,
                 message=outgoing,
-                size=wire_size_of(outgoing),
+                size=size,
                 sent_at=self.sim.now,
             )
             self.fabric.deliver_from_switch(receiver, egress)

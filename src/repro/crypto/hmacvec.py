@@ -54,7 +54,10 @@ class HmacVector:
 
     def has_entry(self, receiver_id: int) -> bool:
         """Whether the vector covers ``receiver_id``."""
-        return any(rid == receiver_id for rid, _ in self.tags)
+        for rid, _ in self.tags:
+            if rid == receiver_id:
+                return True
+        return False
 
     def receivers(self) -> List[int]:
         """Receiver ids covered, in vector order."""

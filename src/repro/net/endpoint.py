@@ -52,8 +52,9 @@ class Endpoint(Actor, EndpointPort):
         if self.fabric is None or self.address is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
         self.messages_sent += 1
-        self.charge(self.cost.message_cost(wire_size_of(message)))
-        self.defer(self.fabric.transmit, self.address, dst, message)
+        size = wire_size_of(message)
+        self.charge(self.cost.message_cost(size))
+        self.defer(self.fabric.transmit, self.address, dst, message, size)
 
     def send_all(self, destinations, message: object) -> None:
         """Unicast the same message to several hosts."""

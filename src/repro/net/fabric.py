@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import random
 
-from repro.net.packet import Address, GroupAddress, Packet, wire_size_of
+from repro.net.packet import Address, GroupAddress, Packet
 from repro.net.profiles import NetworkProfile
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter
@@ -220,9 +220,12 @@ class Fabric:
 
     # ------------------------------------------------------------ transmit
 
-    def transmit(self, src: int, dst: Address, message: object) -> None:
-        """Inject a packet at ``src``'s NIC at the current virtual time."""
-        size = wire_size_of(message)
+    def transmit(self, src: int, dst: Address, message: object, size: int) -> None:
+        """Inject a packet at ``src``'s NIC at the current virtual time.
+
+        ``size`` is ``wire_size_of(message)``, which the sender has already
+        computed to charge its CPU.
+        """
         packet = Packet(src=src, dst=dst, message=message, size=size, sent_at=self.sim.now)
         self._count("sent")
         if self._should_drop(packet):
@@ -265,10 +268,10 @@ class Fabric:
         latency plus serialization, then the host's receive path. Loss and
         partitions still apply (the sequencer's multicast legs can drop
         independently per receiver — that is what triggers NeoBFT's gap
-        agreement).
+        agreement). ``packet`` must already be addressed to ``dst``; it is
+        forwarded as is.
         """
-        egress = Packet(packet.src, dst, packet.message, packet.size, packet.sent_at)
-        if self._should_drop(egress):
+        if self._should_drop(packet):
             return
         port = self._endpoints.get(dst)
         if port is None:
@@ -280,7 +283,7 @@ class Fabric:
             + self.profile.link.serialization_ns(packet.size)
             + self._jitter()
         )
-        self._dispatch(port, egress, self.sim.now + delay)
+        self._dispatch(port, packet, self.sim.now + delay)
 
     def _dispatch(self, port: "EndpointPort", packet: Packet, arrival: int) -> None:
         """Route one delivery through the active perturbation injectors."""

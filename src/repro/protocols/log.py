@@ -36,6 +36,12 @@ class LogEntry:
     epoch: int = 0
     result: bytes = b""
     executed: bool = False
+    # Reverts this slot's execution: the app's inverse plus the replica's
+    # client-table entry, which in turn holds the previous reply. Only
+    # speculative rollback (``rollback_to``) runs it, and rollback never
+    # reaches below a committed sync point, so it is set by
+    # ``mark_executed`` only above ``commit_cursor`` and dropped when
+    # ``mark_committed_up_to`` covers the slot.
     undo: Optional[Callable[[], None]] = None
     committed: bool = False
 
@@ -132,17 +138,27 @@ class ReplicaLog:
         return None
 
     def mark_executed(self, slot: int, result: bytes, undo) -> None:
-        """Record execution of the slot at the cursor."""
+        """Record execution of the slot at the cursor.
+
+        ``undo`` is kept only while the slot is above the commit cursor: a
+        committed slot is never rolled back.
+        """
         if slot != self.exec_cursor:
             raise ValueError(f"out-of-order execution: {slot} != {self.exec_cursor}")
         entry = self.entries[slot]
         entry.executed = True
         entry.result = result
-        entry.undo = undo
+        entry.undo = undo if slot >= self.commit_cursor else None
         self.exec_cursor += 1
 
     def mark_committed_up_to(self, slot: int) -> None:
-        """Advance the durable prefix (state sync / commit decisions)."""
-        self.commit_cursor = max(self.commit_cursor, min(slot + 1, len(self.entries)))
-        for entry in self.entries[: self.commit_cursor]:
+        """Advance the durable prefix (state sync / commit decisions).
+
+        Marks only the newly covered slots and releases their undo
+        closures, which nothing can run once the slot is durable.
+        """
+        end = min(slot + 1, len(self.entries))
+        for entry in self.entries[self.commit_cursor : end]:
             entry.committed = True
+            entry.undo = None
+        self.commit_cursor = max(self.commit_cursor, end)

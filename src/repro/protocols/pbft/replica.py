@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.protocols.base import BaseReplica, ReplicaGroup
@@ -90,7 +91,7 @@ class PbftReplica(BaseReplica):
         )
         from repro.crypto.hmacvec import HmacVector
 
-        authed = type(message)(**{**message.__dict__, "auth": HmacVector(vector_tags)})
+        authed = replace(message, auth=HmacVector(vector_tags))
         for rid in peers:
             self.send(rid, authed)
 

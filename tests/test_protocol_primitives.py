@@ -108,6 +108,28 @@ class TestReplicaLog:
         assert log.commit_cursor == 2  # never regresses
         assert log.get(0).committed and log.get(1).committed
 
+    def test_commit_releases_undo_of_covered_slots(self):
+        log = ReplicaLog()
+        undone = []
+        for tag in (b"a", b"b", b"c"):
+            slot = log.append(request_entry(tag))
+            log.mark_executed(slot, tag, lambda t=tag: undone.append(t))
+        log.mark_committed_up_to(1)
+        assert log.get(0).undo is None and log.get(1).undo is None
+        assert log.get(2).undo is not None
+        log.rollback_to(2)
+        assert undone == [b"c"]
+
+    def test_executing_committed_slot_stores_no_undo(self):
+        log = ReplicaLog()
+        for tag in (b"a", b"b"):
+            log.append(request_entry(tag))
+        log.mark_committed_up_to(0)
+        log.mark_executed(0, b"ra", lambda: None)
+        log.mark_executed(1, b"rb", lambda: None)
+        assert log.get(0).undo is None
+        assert log.get(1).undo is not None
+
 
 class TestQuorumTracker:
     def test_threshold_reached_once(self):

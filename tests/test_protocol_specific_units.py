@@ -101,6 +101,25 @@ class TestNeoBftStateSync:
             assert replica.log.commit_cursor <= len(replica.log)
             assert replica.log.get(0).committed
 
+    def test_commit_releases_undo_closures(self):
+        sync_interval = 64
+        logs = {}
+        for duration in (ms(4), ms(16)):
+            cluster, _ = run_cluster(
+                "neobft-hm", clients=6, duration=duration,
+                replica_kwargs={"sync_interval": sync_interval},
+            )
+            logs[duration] = [replica.log for replica in cluster.replicas]
+        short, long = logs[ms(4)], logs[ms(16)]
+        assert min(len(log) for log in long) > 3 * max(len(log) for log in short)
+        for log in short + long:
+            assert log.commit_cursor > 0
+            assert all(e.undo is None for e in log.entries[: log.commit_cursor])
+            # Only the uncommitted suffix past the last sync point holds
+            # undo, so the count does not grow with the run.
+            held = sum(e.undo is not None for e in log.entries)
+            assert held < sync_interval
+
     def test_view_change_payload_shrinks_with_sync(self):
         cluster, _ = run_cluster(
             "neobft-hm", clients=6, duration=ms(15),
