@@ -9,6 +9,10 @@ campaign must never be able to break:
 2. **Prefix monotonicity** — a replica's committed prefix only grows,
    and entries inside it are never rewritten (checked in O(1) per commit
    via the log's hash chain, not by rescanning the prefix).
+
+   Both are checked for every protocol family: each replica's
+   :class:`~repro.protocols.log.ReplicaLog` calls the monitor from its
+   ``on_commit`` hook list whenever its commit cursor advances.
 3. **Ordered delivery** — each replica's aom stream (certificates plus
    drop-notifications) is exactly the contiguous sequence 1, 2, 3, …
    within an epoch, and every certificate carries the sequence number it
@@ -22,6 +26,7 @@ traceback.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.protocols.log import ReplicaLog
@@ -60,8 +65,10 @@ class InvariantMonitor:
         self._sim = getattr(cluster, "sim", None)
         for replica in cluster.replicas:
             log = getattr(replica, "log", None)
-            if isinstance(log, ReplicaLog):
-                self._watch_commits(replica, log)
+            if log is not None:
+                hook = partial(self._check_commits, replica.name)
+                log.on_commit.append(hook)
+                self._restores.append(partial(log.on_commit.remove, hook))
             lib = getattr(replica, "aom_lib", None)
             if lib is not None:
                 self._watch_aom(replica, lib)
@@ -75,25 +82,9 @@ class InvariantMonitor:
 
     # -------------------------------------------------------------- commits
 
-    def _watch_commits(self, replica, log: ReplicaLog) -> None:
-        original = log.mark_committed_up_to
-
-        def checked(slot: int) -> None:
-            before = log.commit_cursor
-            original(slot)
-            if log.commit_cursor > before:
-                self._on_commit_advance(replica, log, before)
-
-        log.mark_committed_up_to = checked
-
-        def restore() -> None:
-            log.mark_committed_up_to = original
-
-        self._restores.append(restore)
-
-    def _on_commit_advance(self, replica, log: ReplicaLog, before: int) -> None:
+    def _check_commits(self, name: str, log: ReplicaLog, before: int) -> None:
+        """``on_commit`` hook: ``name``'s cursor advanced from ``before``."""
         after = log.commit_cursor
-        name = replica.name
         prev_cursor, prev_hash = self._commit_watch.get(name, (0, None))
         if after < prev_cursor:
             self._fail(

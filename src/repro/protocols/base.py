@@ -9,13 +9,14 @@ reply MACs, at-most-once caching, reply quorum collection, retransmission
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
 from repro.crypto.costmodel import CostModel
 from repro.crypto.hmacvec import PairwiseKeys
 from repro.net.endpoint import Endpoint
+from repro.protocols.log import EntryKind, LogEntry, ReplicaLog
 from repro.protocols.messages import (
     ClientReply,
     ClientRequest,
@@ -91,6 +92,8 @@ class BaseReplica(Endpoint):
         self.pairwise = pairwise
         self.view = 0
         self.metrics = Counter()
+        self.log = ReplicaLog()
+        self.ops_executed = 0
         # At-most-once: latest (request_id, reply) per client.
         self.client_table: Dict[int, Tuple[int, Optional[ClientReply]]] = {}
         # Requests admitted to ordering but not yet executed (leader-side
@@ -157,6 +160,40 @@ class BaseReplica(Endpoint):
             self.execute_now(self.on_message, self.group.replica_addrs[self.replica_id], message)
 
     # ------------------------------------------------------ client plumbing
+
+    def on_client_request(self, request: ClientRequest) -> None:
+        """Screen a client request, then batch it (leader) or forward it."""
+        if self.screen_request(request):
+            self.route_request(request)
+
+    def screen_request(self, request: ClientRequest) -> bool:
+        """True for an authentic request newer than the client's last.
+
+        A retry of the last executed request gets its cached reply
+        resent; older or in-flight duplicates are dropped.
+        """
+        if not self.check_request_auth(request):
+            self.metrics.add("bad_auth")
+            return False
+        seen = self.client_table.get(request.client_id)
+        if seen is not None and seen[0] >= request.request_id:
+            if seen[0] == request.request_id and seen[1] is not None:
+                self.send(request.client_id, seen[1])
+            return False
+        return True
+
+    def route_request(self, request: ClientRequest) -> None:
+        """The leader batches a fresh request (into the family's ``batcher``);
+        a backup forwards it."""
+        if self.is_leader:
+            if self.admit_once(request):
+                self.batcher.add(request)
+        else:
+            self.forward_request(request)
+
+    def forward_request(self, request: ClientRequest) -> None:
+        """Send a request on to the current leader."""
+        self.send(self.leader_addr, request)
 
     def check_request_auth(self, request: ClientRequest) -> bool:
         """Verify the client's MAC-vector entry (charged)."""
@@ -235,6 +272,46 @@ class BaseReplica(Endpoint):
         if seen is not None and seen[0] == reply.request_id:
             self.client_table[client_id] = (reply.request_id, tagged)
         self.send(client_id, tagged)
+
+    # ------------------------------------------------------------ execution
+
+    def commit_batch(self, digest: bytes, batch) -> int:
+        """Log one agreed batch, execute its requests and commit it.
+
+        Returns the batch's slot. The append charges no simulated time.
+        """
+        slot = self.log.append(LogEntry(kind=EntryKind.REQUEST, digest=digest))
+        for request in batch:
+            self.execute_request(request)
+        self.log.mark_executed(slot, b"", None)
+        self.log.mark_committed_up_to(slot)
+        return slot
+
+    def execute_request(self, request: ClientRequest, **reply_fields) -> bool:
+        """Settle, dedupe, execute and answer one ordered request.
+
+        A duplicate of an executed request only gets its cached reply
+        resent. ``reply_fields`` fill the reply's protocol-specific
+        fields. Returns whether the op ran.
+        """
+        self.settle_request(request)
+        should_execute, cached = self.execution_dedupe(request)
+        if not should_execute:
+            if cached is not None:
+                self.send(request.client_id, cached)
+            return False
+        result, _ = self.execute_op(request.op, request=request)
+        self.ops_executed += 1
+        self.client_table[request.client_id] = (request.request_id, None)
+        reply = ClientReply(
+            view=self.view,
+            replica=self.address,
+            request_id=request.request_id,
+            result=result,
+            **reply_fields,
+        )
+        self.reply_to_client(request.client_id, reply)
+        return True
 
     # ------------------------------------------------------------ app hooks
 

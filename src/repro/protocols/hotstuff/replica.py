@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
@@ -14,12 +14,12 @@ from repro.protocols.hotstuff.messages import (
     Vote,
     qc_body,
 )
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientRequest
 from repro.protocols.pbft.messages import batch_digest
 
 
 class _BatchState:
-    __slots__ = ("batch", "digest", "votes", "qcs", "decided", "executed")
+    __slots__ = ("batch", "digest", "votes", "qcs", "decided")
 
     def __init__(self):
         self.batch = None
@@ -27,7 +27,6 @@ class _BatchState:
         self.votes: Dict[int, Dict[int, Vote]] = {p: {} for p in Phase}
         self.qcs: Dict[int, QuorumCert] = {}
         self.decided = False
-        self.executed = False
 
 
 class HotStuffReplica(BaseReplica):
@@ -53,9 +52,7 @@ class HotStuffReplica(BaseReplica):
             self._propose, max_batch=batch_size, max_outstanding=pipeline_depth
         )
         self.next_seq = 0
-        self.exec_cursor = 0
         self.states: Dict[int, _BatchState] = {}
-        self.ops_executed = 0
 
     def _state(self, seq: int) -> _BatchState:
         state = self.states.get(seq)
@@ -68,28 +65,13 @@ class HotStuffReplica(BaseReplica):
 
     def on_message(self, src: int, message: object) -> None:
         if isinstance(message, ClientRequest):
-            self._on_request(src, message)
+            self.on_client_request(message)
         elif isinstance(message, Proposal):
             self._on_proposal(src, message)
         elif isinstance(message, Vote):
             self._on_vote(src, message)
         elif isinstance(message, Decide):
             self._on_decide(src, message)
-
-    def _on_request(self, src: int, request: ClientRequest) -> None:
-        if not self.check_request_auth(request):
-            return
-        seen = self.client_table.get(request.client_id)
-        if seen is not None and seen[0] == request.request_id and seen[1] is not None:
-            self.send(request.client_id, seen[1])
-            return
-        if seen is not None and seen[0] >= request.request_id:
-            return
-        if self.is_leader:
-            if self.admit_once(request):
-                self.batcher.add(request)
-        else:
-            self.send(self.leader_addr, request)
 
     # ------------------------------------------------------------- phases
 
@@ -196,31 +178,16 @@ class HotStuffReplica(BaseReplica):
             return
         state.decided = True
         while True:
-            current = self.states.get(self.exec_cursor)
-            if current is None or not current.decided or current.executed:
+            seq = len(self.log)
+            current = self.states.get(seq)
+            if current is None or not current.decided:
                 return
             if current.batch is None:
                 return  # decide arrived before the batch itself
-            current.executed = True
-            for request in current.batch:
-                self._execute_request(request)
-            self.states.pop(self.exec_cursor, None)
-            self.exec_cursor += 1
-
-    def _execute_request(self, request: ClientRequest) -> None:
-        self.settle_request(request)
-        should_execute, cached = self.execution_dedupe(request)
-        if not should_execute:
-            if cached is not None:
-                self.send(request.client_id, cached)
-            return
-        result, _ = self.execute_op(request.op, request=request)
-        self.ops_executed += 1
-        self.client_table[request.client_id] = (request.request_id, None)
-        reply = ClientReply(
-            view=self.view,
-            replica=self.address,
-            request_id=request.request_id,
-            result=result,
-        )
-        self.reply_to_client(request.client_id, reply)
+            if current.qcs[Phase.COMMIT].digest != current.digest:
+                # The commit QC certifies another batch than the one we
+                # voted for (an equivocating leader forked the PREPARE):
+                # ours never reached a quorum, so it must not execute.
+                return
+            self.commit_batch(current.digest, current.batch)
+            del self.states[seq]

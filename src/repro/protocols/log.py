@@ -10,7 +10,7 @@ prefix, and the chain supports O(1) truncation for speculative rollback
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, List, Optional
 
@@ -50,13 +50,25 @@ NOOP_DIGEST = sha256_digest(b"no-op")
 
 
 class ReplicaLog:
-    """Append/overwrite log with chained heads and execution tracking."""
+    """Append/overwrite log with chained heads and execution tracking.
+
+    Every protocol family keeps one per replica. What a slot means is the
+    family's: the aom-derived log position for NeoBFT, the agreed sequence
+    number for PBFT, HotStuff and Zyzzyva, and the execution index for
+    MinBFT (whose USIG counters are not contiguous).
+
+    ``on_commit`` holds subscribers to the durable prefix: each is called
+    as ``hook(log, before)`` whenever ``mark_committed_up_to`` advances
+    ``commit_cursor`` from ``before``, after the newly covered slots are
+    marked. The invariant monitor subscribes here.
+    """
 
     def __init__(self):
         self.entries: List[LogEntry] = []
         self.chain = HashChain()
         self.exec_cursor = 0  # slots [0, exec_cursor) are executed
         self.commit_cursor = 0  # slots [0, commit_cursor) are durable
+        self.on_commit: List[Callable[["ReplicaLog", int], None]] = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -92,26 +104,31 @@ class ReplicaLog:
         """Replace ``slot`` with a committed no-op (gap/view-change outcome).
 
         Rolls back execution if the slot (or anything after it) already
-        executed; returns the suffix entries [slot+1:] that must be
-        re-executed by the caller (their ``executed`` flags are cleared).
+        executed; returns the entries [slot:] — the no-op and the suffix —
+        that the caller must (re-)execute.
         """
         if not 0 <= slot < len(self.entries):
             raise IndexError(f"no slot {slot} to overwrite")
-        suffix = self.rollback_to(slot)
-        noop = LogEntry(
-            kind=EntryKind.NOOP,
-            digest=NOOP_DIGEST,
-            evidence=evidence,
-            view=view,
-            executed=False,
-            committed=True,
+        suffix = self.entries[slot + 1 :]
+        self.truncate(slot)
+        self.append(
+            LogEntry(
+                kind=EntryKind.NOOP,
+                digest=NOOP_DIGEST,
+                evidence=evidence,
+                view=view,
+                committed=True,
+            )
         )
-        self.entries[slot] = noop
-        # Rebuild the chain from the overwritten slot forward.
+        for entry in suffix:
+            self.append(entry)
+        return self.entries[slot:]
+
+    def truncate(self, slot: int) -> None:
+        """Drop slots >= ``slot`` and their chain heads, undoing their execution."""
+        self.rollback_to(slot)
+        del self.entries[slot:]
         self.chain.truncate(slot)
-        for entry in self.entries[slot:]:
-            self.chain.append(entry.digest)
-        return suffix
 
     def rollback_to(self, slot: int) -> List[LogEntry]:
         """Undo execution of slots >= ``slot``; returns those entries.
@@ -155,10 +172,16 @@ class ReplicaLog:
         """Advance the durable prefix (state sync / commit decisions).
 
         Marks only the newly covered slots and releases their undo
-        closures, which nothing can run once the slot is durable.
+        closures, which nothing can run once the slot is durable, then
+        runs the ``on_commit`` hooks if the cursor moved.
         """
+        before = self.commit_cursor
         end = min(slot + 1, len(self.entries))
-        for entry in self.entries[self.commit_cursor : end]:
+        if end <= before:
+            return
+        for entry in self.entries[before:end]:
             entry.committed = True
             entry.undo = None
-        self.commit_cursor = max(self.commit_cursor, end)
+        self.commit_cursor = end
+        for hook in self.on_commit:
+            hook(self, before)

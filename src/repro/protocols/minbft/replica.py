@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.digests import digest_concat, digest_int
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientRequest
 from repro.protocols.minbft.usig import Usig, UsigCertificate
 from repro.protocols.pbft.messages import batch_digest
 
@@ -41,16 +42,19 @@ class MinBftCommit:
 
 
 class _PrepareState:
-    __slots__ = ("prepare", "commits", "executed")
+    __slots__ = ("prepare", "commits")
 
     def __init__(self):
         self.prepare: Optional[MinBftPrepare] = None
         self.commits: Dict[int, MinBftCommit] = {}
-        self.executed = False
 
 
 class MinBftReplica(BaseReplica):
-    """One MinBFT replica (n = 2f+1)."""
+    """One MinBFT replica (n = 2f+1).
+
+    Log slot ``i`` is the ``i``-th executed prepare: the primary's USIG
+    counters also advance on its own commits, so they cannot be slots.
+    """
 
     PROTO = "minbft"
 
@@ -76,11 +80,16 @@ class MinBftReplica(BaseReplica):
         # Prepares keyed by the primary's USIG counter value; executed
         # strictly in counter order (the USIG guarantees no gaps).
         self.states: Dict[int, _PrepareState] = {}
-        # Primary USIG counters of accepted prepares, in arrival order;
+        # Primary USIG counters of accepted, unexecuted prepares, sorted;
         # the primary's counter also advances on its own commits, so
         # prepare counters are increasing but not contiguous.
-        self._order: list = []
-        self.ops_executed = 0
+        self._order: List[int] = []
+        # Every primary counter below ``_primary_seen`` arrived, as a
+        # prepare or as the primary's commit; ``_seen_above`` holds the
+        # ones that arrived above that frontier.
+        self._primary_seen = 1
+        self._seen_above: Set[int] = set()
+        self._last_executed = 0  # primary counter of the last executed prepare
 
     def init_usig(self) -> None:
         """Create the trusted component (after crypto binding)."""
@@ -97,26 +106,11 @@ class MinBftReplica(BaseReplica):
 
     def on_message(self, src: int, message: object) -> None:
         if isinstance(message, ClientRequest):
-            self._on_request(src, message)
+            self.on_client_request(message)
         elif isinstance(message, MinBftPrepare):
             self._on_prepare(src, message)
         elif isinstance(message, MinBftCommit):
             self._on_commit(src, message)
-
-    def _on_request(self, src: int, request: ClientRequest) -> None:
-        if not self.check_request_auth(request):
-            return
-        seen = self.client_table.get(request.client_id)
-        if seen is not None and seen[0] == request.request_id and seen[1] is not None:
-            self.send(request.client_id, seen[1])
-            return
-        if seen is not None and seen[0] >= request.request_id:
-            return
-        if self.is_leader:
-            if self.admit_once(request):
-                self.batcher.add(request)
-        else:
-            self.send(self.leader_addr, request)
 
     # -------------------------------------------------------------- phases
 
@@ -142,11 +136,15 @@ class MinBftReplica(BaseReplica):
         self._accept_prepare(prepare)
 
     def _accept_prepare(self, prepare: MinBftPrepare) -> None:
-        state = self._state(prepare.ui.counter)
+        counter = prepare.ui.counter
+        if counter <= self._last_executed:
+            return  # a late duplicate of an executed prepare
+        state = self._state(counter)
         if state.prepare is not None:
             return
         state.prepare = prepare
-        self._order.append(prepare.ui.counter)
+        bisect.insort(self._order, counter)
+        self._see_primary_counter(counter)
         my_ui = self.usig.create_ui(
             digest_concat(b"commit", prepare.digest, digest_int(prepare.ui.counter))
         )
@@ -163,22 +161,29 @@ class MinBftReplica(BaseReplica):
             digest_concat(b"commit", commit.digest, digest_int(commit.primary_ui.counter)),
         ):
             return
-        state = self._state(commit.primary_ui.counter)
-        if state.prepare is None and commit.replica == self.leader_addr:
-            pass  # primary's commit can arrive before its prepare: buffer
         self._record_commit(commit)
         self._try_execute()
 
     def _record_commit(self, commit: MinBftCommit) -> None:
+        if commit.replica == self.leader_addr:
+            self._see_primary_counter(commit.ui.counter)
+        if commit.primary_ui.counter <= self._last_executed:
+            return  # late vote for an executed prepare
         state = self._state(commit.primary_ui.counter)
         state.commits[commit.replica] = commit
+
+    def _see_primary_counter(self, counter: int) -> None:
+        self._seen_above.add(counter)
+        while self._primary_seen in self._seen_above:
+            self._seen_above.remove(self._primary_seen)
+            self._primary_seen += 1
 
     def _try_execute(self) -> None:
         while self._order:
             head = self._order[0]
-            state = self.states.get(head)
-            if state is None or state.executed or state.prepare is None:
-                return
+            if head >= self._primary_seen:
+                return  # a lower counter from the primary is still missing
+            state = self.states[head]
             # Only digest-matching commits certify the prepare: a
             # Byzantine replica can mint a valid USIG UI over any digest
             # it likes, and counting such commits would execute on a
@@ -190,28 +195,9 @@ class MinBftReplica(BaseReplica):
             )
             if matching < self.group.f + 1:
                 return
-            state.executed = True
-            for request in state.prepare.batch:
-                self._execute_request(request)
-            self.states.pop(head, None)
+            del self.states[head]
             self._order.pop(0)
+            self._last_executed = head
+            self.commit_batch(state.prepare.digest, state.prepare.batch)
             if self.is_leader and self.batcher.outstanding > 0:
                 self.batcher.batch_done()
-
-    def _execute_request(self, request: ClientRequest) -> None:
-        self.settle_request(request)
-        should_execute, cached = self.execution_dedupe(request)
-        if not should_execute:
-            if cached is not None:
-                self.send(request.client_id, cached)
-            return
-        result, _ = self.execute_op(request.op, request=request)
-        self.ops_executed += 1
-        self.client_table[request.client_id] = (request.request_id, None)
-        reply = ClientReply(
-            view=self.view,
-            replica=self.address,
-            request_id=request.request_id,
-            result=result,
-        )
-        self.reply_to_client(request.client_id, reply)

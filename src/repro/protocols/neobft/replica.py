@@ -24,7 +24,7 @@ evidence that must transfer, i.e. gap certificates, is already signed).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.aom.messages import (
     AomPacket,
@@ -36,7 +36,7 @@ from repro.aom.messages import (
     OrderingCertificate,
 )
 from repro.protocols.base import BaseReplica, ReplicaGroup
-from repro.protocols.log import EntryKind, LogEntry, ReplicaLog, NOOP_DIGEST
+from repro.protocols.log import EntryKind, LogEntry, NOOP_DIGEST
 from repro.protocols.messages import ClientReply, ClientRequest
 from repro.protocols.neobft.messages import (
     EpochCertificate,
@@ -57,7 +57,6 @@ from repro.protocols.neobft.messages import (
     ViewId,
     ViewStart,
 )
-from repro.protocols.quorum import QuorumTracker
 from repro.sim.clock import ms, us
 
 
@@ -120,7 +119,6 @@ class NeoBftReplica(BaseReplica):
         self.direct_request_timeout_ns = direct_request_timeout_ns
         self.view_change_timeout_ns = view_change_timeout_ns
 
-        self.log = ReplicaLog()
         self.view_id = ViewId(1, 0)
         self.epoch_bases: Dict[int, int] = {1: 0}
         self.epoch_certs: Dict[int, EpochCertificate] = {}
@@ -156,8 +154,6 @@ class NeoBftReplica(BaseReplica):
         # (or a generous grace period expires).
         self._epoch_wait: Optional[Tuple[int, int]] = None
         self.failover_grace_ns = ms(150)
-
-        self.ops_executed = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -343,14 +339,8 @@ class NeoBftReplica(BaseReplica):
     # ------------------------------------------------------------------
 
     def _on_direct_request(self, request: ClientRequest) -> None:
-        if not self.check_request_auth(request):
+        if not self.screen_request(request):
             return
-        seen = self.client_table.get(request.client_id)
-        if seen is not None and seen[0] == request.request_id and seen[1] is not None:
-            self.send(request.client_id, seen[1])
-            return
-        if seen is not None and seen[0] >= request.request_id:
-            return  # ancient or in-flight duplicate
         key = request.key()
         if key in self._direct_timers:
             return  # already suspicious about this one
@@ -808,22 +798,7 @@ class NeoBftReplica(BaseReplica):
 
     def _log_summary(self) -> Tuple[LogEntrySummary, ...]:
         """Suffix of the log after the committed prefix, as summaries."""
-        out = []
-        for slot in range(self.log.commit_cursor, len(self.log)):
-            entry = self.log.get(slot)
-            out.append(
-                LogEntrySummary(
-                    slot=slot,
-                    is_noop=entry.kind == EntryKind.NOOP,
-                    epoch=entry.epoch,
-                    digest=entry.digest,
-                    request=entry.request,
-                    oc=entry.evidence if isinstance(entry.evidence, OrderingCertificate) else None,
-                    gap_cert=entry.evidence if isinstance(entry.evidence, tuple) else
-                    self._gap_certs.get(slot, ()),
-                )
-            )
-        return tuple(out)
+        return self._summaries_range(self.log.commit_cursor, len(self.log))
 
     def _initiate_view_change(self, new_view: ViewId) -> None:
         if self._vc_sent_for is not None and self._vc_sent_for >= new_view:
@@ -918,18 +893,23 @@ class NeoBftReplica(BaseReplica):
         new_view = start.new_view
         if new_view.epoch > self.view_id.epoch:
             # Cross-epoch: exchange epoch-start to agree on the boundary.
-            self._pending_epoch_entry = (new_view, len(self.log))
-            epoch_start = EpochStart(new_view.epoch, len(self.log), self.address)
-            epoch_start = EpochStart(
-                epoch_start.epoch, epoch_start.slot, epoch_start.replica,
-                self.crypto.sign(epoch_start.signed_body()),
-            )
-            votes = self._epoch_start_votes.setdefault((new_view.epoch, len(self.log)), {})
-            votes[self.address] = epoch_start
-            self.broadcast(epoch_start)
-            self._check_epoch_quorum(new_view.epoch, len(self.log))
+            self._announce_epoch_start(new_view)
         else:
             self._enter_view(new_view)
+
+    def _announce_epoch_start(self, new_view: ViewId) -> None:
+        """Propose our log end as ``new_view``'s epoch boundary."""
+        slot = len(self.log)
+        self._pending_epoch_entry = (new_view, slot)
+        epoch_start = EpochStart(new_view.epoch, slot, self.address)
+        epoch_start = EpochStart(
+            epoch_start.epoch, epoch_start.slot, epoch_start.replica,
+            self.crypto.sign(epoch_start.signed_body()),
+        )
+        votes = self._epoch_start_votes.setdefault((new_view.epoch, slot), {})
+        votes[self.address] = epoch_start
+        self.broadcast(epoch_start)
+        self._check_epoch_quorum(new_view.epoch, slot)
 
     def _on_epoch_start(self, src: int, epoch_start: EpochStart) -> None:
         if epoch_start.replica != src or src not in self.group.replica_addrs:
@@ -1026,19 +1006,7 @@ class NeoBftReplica(BaseReplica):
                 break  # non-contiguous: stop at the hole
             if not self._entry_is_valid(summary):
                 break
-            if summary.is_noop:
-                self.log.append(
-                    LogEntry(kind=EntryKind.NOOP, digest=NOOP_DIGEST,
-                             evidence=summary.gap_cert, epoch=summary.epoch,
-                             committed=True)
-                )
-                self._gap_certs[summary.slot] = summary.gap_cert
-            else:
-                self.log.append(
-                    LogEntry(kind=EntryKind.REQUEST, digest=summary.digest,
-                             request=summary.request, evidence=summary.oc,
-                             epoch=summary.epoch)
-                )
+            self._append_summary(summary)
             appended = True
         if not appended:
             return
@@ -1048,19 +1016,23 @@ class NeoBftReplica(BaseReplica):
         if self._pending_epoch_entry is not None:
             pending_view, _ = self._pending_epoch_entry
             if pending_view.epoch == reply.epoch:
-                new_slot = len(self.log)
-                self._pending_epoch_entry = (pending_view, new_slot)
-                epoch_start = EpochStart(pending_view.epoch, new_slot, self.address)
-                epoch_start = EpochStart(
-                    epoch_start.epoch, epoch_start.slot, epoch_start.replica,
-                    self.crypto.sign(epoch_start.signed_body()),
-                )
-                votes = self._epoch_start_votes.setdefault(
-                    (pending_view.epoch, new_slot), {}
-                )
-                votes[self.address] = epoch_start
-                self.broadcast(epoch_start)
-                self._check_epoch_quorum(pending_view.epoch, new_slot)
+                self._announce_epoch_start(pending_view)
+
+    def _append_summary(self, summary: LogEntrySummary) -> None:
+        """Append a transferred or merged entry at the log's end."""
+        if summary.is_noop:
+            self.log.append(
+                LogEntry(kind=EntryKind.NOOP, digest=NOOP_DIGEST,
+                         evidence=summary.gap_cert, epoch=summary.epoch,
+                         committed=True)
+            )
+            self._gap_certs[summary.slot] = summary.gap_cert
+        else:
+            self.log.append(
+                LogEntry(kind=EntryKind.REQUEST, digest=summary.digest,
+                         request=summary.request, evidence=summary.oc,
+                         epoch=summary.epoch)
+            )
 
     def _enter_view(self, new_view: ViewId) -> None:
         epoch_changed = new_view.epoch > self.view_id.epoch
@@ -1152,36 +1124,13 @@ class NeoBftReplica(BaseReplica):
         # The first difference may sit beyond our log's end (the merged
         # logs are longer than ours); then nothing is rewritten — we only
         # append from our current tail.
-        first_change = min(first_change, len(self.log.entries))
-        self.log.rollback_to(first_change)
+        first_change = min(first_change, len(self.log))
         # Truncate and rebuild from first_change using merged winners.
-        del self.log.entries[first_change:]
-        self.log.chain.truncate(first_change)
+        self.log.truncate(first_change)
         for slot in sorted(s for s in merged if s >= first_change):
-            if slot != len(self.log.entries):
+            if slot != len(self.log):
                 break  # hole in the merged coverage: stop (state transfer)
-            summary = merged[slot]
-            if summary.is_noop:
-                self.log.append(
-                    LogEntry(
-                        kind=EntryKind.NOOP,
-                        digest=NOOP_DIGEST,
-                        evidence=summary.gap_cert,
-                        epoch=summary.epoch,
-                        committed=True,
-                    )
-                )
-                self._gap_certs[slot] = summary.gap_cert
-            else:
-                self.log.append(
-                    LogEntry(
-                        kind=EntryKind.REQUEST,
-                        digest=summary.digest,
-                        request=summary.request,
-                        evidence=summary.oc,
-                        epoch=summary.epoch,
-                    )
-                )
+            self._append_summary(merged[slot])
         self._execute_ready()
 
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientRequest
 from repro.protocols.pbft.messages import (
     Checkpoint,
     Commit,
@@ -63,7 +63,6 @@ class PbftReplica(BaseReplica):
         self.checkpoint_interval = checkpoint_interval
         self.request_timeout_ns = request_timeout_ns
         self.next_seq = 0  # primary's sequence counter
-        self.exec_cursor = 0  # next seq to execute
         self.slots: Dict[int, _SlotState] = {}
         self.last_stable = -1
         self._checkpoints: Dict[int, Dict[int, Checkpoint]] = {}
@@ -71,7 +70,6 @@ class PbftReplica(BaseReplica):
         self._vc_messages: Dict[int, Dict[int, PbftViewChange]] = {}
         self._vc_target: Optional[int] = None
         self._request_timers: Dict[Tuple[int, int], object] = {}
-        self.ops_executed = 0
 
     # ------------------------------------------------------------ plumbing
 
@@ -107,7 +105,7 @@ class PbftReplica(BaseReplica):
 
     def on_message(self, src: int, message: object) -> None:
         if isinstance(message, ClientRequest):
-            self._on_request(src, message)
+            self.on_client_request(message)
         elif self.in_view_change and not isinstance(
             message, (PbftViewChange, PbftNewView)
         ):
@@ -127,23 +125,10 @@ class PbftReplica(BaseReplica):
 
     # ------------------------------------------------------- client requests
 
-    def _on_request(self, src: int, request: ClientRequest) -> None:
-        if not self.check_request_auth(request):
-            self.metrics.add("bad_auth")
-            return
-        seen = self.client_table.get(request.client_id)
-        if seen is not None and seen[0] == request.request_id and seen[1] is not None:
-            self.send(request.client_id, seen[1])
-            return
-        if seen is not None and seen[0] >= request.request_id:
-            return
-        if self.is_leader:
-            if self.admit_once(request):
-                self.batcher.add(request)
-        else:
-            # Forward to the primary and start the view-change timer.
-            self.send(self.leader_addr, request)
-            self._arm_request_timer(request)
+    def forward_request(self, request: ClientRequest) -> None:
+        # Forward to the primary and start the view-change timer.
+        super().forward_request(request)
+        self._arm_request_timer(request)
 
     def _arm_request_timer(self, request: ClientRequest) -> None:
         key = request.key()
@@ -267,38 +252,22 @@ class PbftReplica(BaseReplica):
 
     def _execute_ready(self) -> None:
         while True:
-            state = self.slots.get(self.exec_cursor)
+            state = self.slots.get(len(self.log))
             if state is None or not state.committed or state.executed:
                 return
             state.executed = True
-            assert state.pre_prepare is not None
-            for request in state.pre_prepare.batch:
-                self._execute_request(request)
-            seq = self.exec_cursor
-            self.exec_cursor += 1
+            pre_prepare = state.pre_prepare
+            seq = self.commit_batch(pre_prepare.digest, pre_prepare.batch)
             if self.is_leader and self.batcher.outstanding > 0:
                 self.batcher.batch_done()
             if (seq + 1) % self.checkpoint_interval == 0:
                 self._send_checkpoint(seq)
 
-    def _execute_request(self, request: ClientRequest) -> None:
-        self.settle_request(request)
-        should_execute, cached = self.execution_dedupe(request)
-        if not should_execute:
-            if cached is not None:
-                self.send(request.client_id, cached)
-            return
-        result, _ = self.execute_op(request.op, request=request)
-        self.ops_executed += 1
-        self.client_table[request.client_id] = (request.request_id, None)
-        self._clear_request_timer(request)
-        reply = ClientReply(
-            view=self.view,
-            replica=self.address,
-            request_id=request.request_id,
-            result=result,
-        )
-        self.reply_to_client(request.client_id, reply)
+    def execute_request(self, request: ClientRequest, **reply_fields) -> bool:
+        executed = super().execute_request(request, **reply_fields)
+        if executed:
+            self._clear_request_timer(request)
+        return executed
 
     # ---------------------------------------------------------- checkpoints
 
@@ -399,11 +368,15 @@ class PbftReplica(BaseReplica):
                     winners[proof.seq] = proof
         # Null-fill the gaps: a seq the old primary consumed without any
         # quorum member preparing it (lost or garbled pre-prepare) would
-        # otherwise stall exec_cursor below the re-issued slots forever.
-        # A slot that executed anywhere prepared at 2f+1 replicas, so it
-        # is always in some chosen proof — nulls only land on seqs no
-        # correct replica can have executed.
-        floor = min((vc.last_stable for vc in chosen), default=self.last_stable)
+        # otherwise stall execution below the re-issued slots forever.
+        # Fill only above the *highest* stable checkpoint among the chosen
+        # view changes: a slot at or below it may have executed (with a
+        # real batch) at the replicas that certified it, while proofs stop
+        # at each sender's own checkpoint. Above it, a slot that executed
+        # anywhere prepared at 2f+1 replicas, so it is in some chosen
+        # proof — nulls only land on seqs no correct replica executed. A
+        # replica behind that checkpoint stalls until it gets the state.
+        floor = max((vc.last_stable for vc in chosen), default=self.last_stable)
         null_digest = batch_digest(())
         for seq in range(floor + 1, max(winners, default=floor)):
             if seq not in winners:
@@ -481,9 +454,4 @@ class PbftReplica(BaseReplica):
             seen = self.client_table.get(request.client_id)
             if seen is not None and seen[0] >= request.request_id:
                 continue  # executed while the timer was pending
-            if self.is_leader:
-                if self.admit_once(request):
-                    self.batcher.add(request)
-            else:
-                self.send(self.leader_addr, request)
-                self._arm_request_timer(request)
+            self.route_request(request)

@@ -13,7 +13,6 @@ class UnreplicatedServer(BaseReplica):
 
     def __init__(self, sim, group: ReplicaGroup, app, crypto, pairwise, **kwargs):
         super().__init__(sim, 0, group, app, crypto, pairwise, **kwargs)
-        self.ops_executed = 0
 
     def on_message(self, src: int, message: object) -> None:
         if not isinstance(message, ClientRequest):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.crypto.digests import chain_step, sha256_digest
+from repro.crypto.digests import chain_step
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import TimedBatcher
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.log import EntryKind, LogEntry
+from repro.protocols.messages import ClientRequest
 from repro.protocols.pbft.messages import batch_digest
 from repro.protocols.zyzzyva.messages import (
     ClientCommit,
@@ -17,11 +18,13 @@ from repro.protocols.zyzzyva.messages import (
     SpecResponseInfo,
 )
 
-_GENESIS_HISTORY = b"\x00" * 32
-
 
 class ZyzzyvaReplica(BaseReplica):
     """One Zyzzyva replica.
+
+    Log slot ``seq`` holds the primary's ``OrderReq`` for that sequence
+    number as its evidence (the primary serves fill-hole from it), and the
+    log's chain head is the Zyzzyva history digest.
 
     ``silent`` makes the replica drop every message — the Zyzzyva-F
     configuration of Figure 7 (a crashed/non-responding Byzantine node
@@ -49,12 +52,7 @@ class ZyzzyvaReplica(BaseReplica):
             self, self._send_order_req, max_batch=batch_size, flush_after_ns=30_000
         )
         self.next_seq = 0  # primary's counter
-        self.exec_seq = 0  # next batch we expect to execute
-        self.history = _GENESIS_HISTORY
-        self.order_log: Dict[int, OrderReq] = {}
         self._pending_order: Dict[int, OrderReq] = {}  # out-of-order buffer
-        self.committed_seq = -1
-        self.ops_executed = 0
 
     # ------------------------------------------------------------ dispatch
 
@@ -62,30 +60,13 @@ class ZyzzyvaReplica(BaseReplica):
         if self.silent:
             return
         if isinstance(message, ClientRequest):
-            self._on_request(src, message)
+            self.on_client_request(message)
         elif isinstance(message, OrderReq):
             self._on_order_req(src, message)
         elif isinstance(message, ClientCommit):
             self._on_client_commit(src, message)
         elif isinstance(message, FillHole):
             self._on_fill_hole(src, message)
-
-    # ------------------------------------------------------------ requests
-
-    def _on_request(self, src: int, request: ClientRequest) -> None:
-        if not self.check_request_auth(request):
-            return
-        seen = self.client_table.get(request.client_id)
-        if seen is not None and seen[0] == request.request_id and seen[1] is not None:
-            self.send(request.client_id, seen[1])
-            return
-        if seen is not None and seen[0] >= request.request_id:
-            return
-        if self.is_leader:
-            if self.admit_once(request):
-                self.batcher.add(request)
-        else:
-            self.send(self.leader_addr, request)
 
     # ---------------------------------------------------------- order path
 
@@ -94,7 +75,7 @@ class ZyzzyvaReplica(BaseReplica):
         self.next_seq += 1
         digest = batch_digest(tuple(batch))
         self.charge(self.cost.sha256_ns * (len(batch) + 1))
-        new_history = chain_step(self.history, digest)
+        new_history = chain_step(self.log.head_hash(), digest)
         order = OrderReq(self.view, seq, new_history, digest, tuple(batch))
         peers = self.peers()
         from repro.crypto.hmacvec import HmacVector
@@ -121,51 +102,34 @@ class ZyzzyvaReplica(BaseReplica):
         self.charge(self.cost.sha256_ns * (len(order.batch) + 1))
         if batch_digest(order.batch) != order.digest:
             return
-        if order.seq > self.exec_seq:
+        if order.seq > len(self.log):
             # Missed an earlier batch: buffer and ask the primary.
             self._pending_order[order.seq] = order
-            self.send(self.leader_addr, FillHole(self.view, self.exec_seq))
+            self.send(self.leader_addr, FillHole(self.view, len(self.log)))
             return
-        if order.seq < self.exec_seq:
+        if order.seq < len(self.log):
             return  # duplicate
         self._apply_order(order)
         # Drain any buffered successors.
-        while self.exec_seq in self._pending_order:
-            self._apply_order(self._pending_order.pop(self.exec_seq))
+        while len(self.log) in self._pending_order:
+            self._apply_order(self._pending_order.pop(len(self.log)))
 
     def _apply_order(self, order: OrderReq) -> None:
-        expected_history = chain_step(self.history, order.digest)
+        expected_history = chain_step(self.log.head_hash(), order.digest)
         self.charge(self.cost.sha256_ns)
         if expected_history != order.history:
             return  # primary equivocated about history: ignore
-        self.history = expected_history
-        self.order_log[order.seq] = order
-        self.exec_seq = order.seq + 1
+        slot = self.log.append(
+            LogEntry(kind=EntryKind.REQUEST, digest=order.digest, evidence=order)
+        )
+        info = SpecResponseInfo(order.seq, order.history, order.digest)
         for request in order.batch:
             if not self.check_request_auth(request):
                 continue
-            self._execute_speculatively(order, request)
-
-    def _execute_speculatively(self, order: OrderReq, request: ClientRequest) -> None:
-        self.settle_request(request)
-        should_execute, cached = self.execution_dedupe(request)
-        if not should_execute:
-            if cached is not None:
-                self.send(request.client_id, cached)
-            return
-        result, _ = self.execute_op(request.op, request=request)
-        self.ops_executed += 1
-        self.client_table[request.client_id] = (request.request_id, None)
-        reply = ClientReply(
-            view=self.view,
-            replica=self.address,
-            request_id=request.request_id,
-            result=result,
-            slot=order.seq,
-            log_hash=order.history,
-            extra=SpecResponseInfo(order.seq, order.history, order.digest),
-        )
-        self.reply_to_client(request.client_id, reply)
+            self.execute_request(
+                request, slot=order.seq, log_hash=order.history, extra=info
+            )
+        self.log.mark_executed(slot, b"", None)
 
     # ----------------------------------------------------- slow-path commit
 
@@ -181,9 +145,9 @@ class ZyzzyvaReplica(BaseReplica):
             if entry.seq != commit.seq or entry.history != commit.history:
                 return
             seen.add(entry.replica)
-        if commit.seq >= self.exec_seq:
+        if commit.seq >= len(self.log):
             return  # we have not even speculated this far; ignore
-        self.committed_seq = max(self.committed_seq, commit.seq)
+        self.log.mark_committed_up_to(commit.seq)
         ack = LocalCommit(
             view=self.view,
             replica=self.address,
@@ -202,9 +166,10 @@ class ZyzzyvaReplica(BaseReplica):
     def _on_fill_hole(self, src: int, fill: FillHole) -> None:
         if not self.is_leader or fill.view != self.view:
             return
-        order = self.order_log.get(fill.seq)
-        if order is None:
+        entry = self.log.get(fill.seq)
+        if entry is None:
             return
+        order = entry.evidence
         peers_key = self.pairwise.key_between(self.address, src)
         from repro.crypto.hmacvec import HmacVector
 

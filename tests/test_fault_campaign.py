@@ -140,6 +140,13 @@ class TestInvariantMonitor:
         r1.log.mark_committed_up_to(0)
         assert monitor.checks == 0
 
+    def test_detach_empties_on_commit(self):
+        r1, r2 = fake_replica("r1"), fake_replica("r2")
+        monitor = InvariantMonitor().attach(SimpleNamespace(replicas=[r1, r2]))
+        assert len(r1.log.on_commit) == 1 and len(r2.log.on_commit) == 1
+        monitor.detach()
+        assert r1.log.on_commit == [] and r2.log.on_commit == []
+
 
 # ---------------------------------------------------------------------------
 # Client retry backoff and the abort path

@@ -110,8 +110,9 @@ class TestInvariantSpanAttach:
         )
         entry = replica.log.get(slot)
         monitor._slot_digests[slot] = (b"\xde\xad" * 16, "rigged-replica")
+        hook = replica.log.on_commit[-1]
         with pytest.raises(InvariantViolation) as exc:
-            monitor._on_commit_advance(replica, replica.log, slot)
+            hook(replica.log, slot)
         message = str(exc.value)
         assert "offending request span tree" in message
         assert "request" in message
