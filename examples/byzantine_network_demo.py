@@ -38,12 +38,6 @@ def run(protocol: str):
 def main() -> None:
     print("hybrid fault model (neobft-hm): the switch is TRUSTED not to lie")
     cluster, result = run("neobft-hm")
-    digests = [
-        replica.log.get(min(len(replica.log), 200) - 1).digest.hex()[:12]
-        if len(replica.log)
-        else "-"
-        for replica in cluster.replicas
-    ]
     shortest = min(len(r.log) for r in cluster.replicas)
     heads = {r.log.hash_up_to(shortest - 1).hex()[:12] for r in cluster.replicas}
     print(f"  throughput {result.throughput_ops / 1e3:.1f} K ops/s")

@@ -41,10 +41,18 @@ from repro.switchfab.hmac_pipeline import PartialVector
 DeliverFn = Callable[[OrderingCertificate], None]
 DropFn = Callable[[DropNotification], None]
 StuckFn = Callable[[int, int], None]  # (epoch, blocked_sequence)
+DeliverHook = Callable[[int, int, str], None]  # (epoch, sequence, what)
 
 
 class AomReceiverLib:
-    """Per-receiver aom state machine, embedded in a host endpoint."""
+    """Per-receiver aom state machine, embedded in a host endpoint.
+
+    ``on_deliver`` holds delivery observers: each is called as
+    ``hook(epoch, sequence, what)`` just before a certificate
+    (``what="certificate"``) or a drop-notification
+    (``what="drop-notification"``) is handed to the host. The invariant
+    monitor subscribes here.
+    """
 
     def __init__(
         self,
@@ -67,6 +75,7 @@ class AomReceiverLib:
         self.crypto = crypto
         self.deliver = deliver
         self.deliver_drop = deliver_drop
+        self.on_deliver: List[DeliverHook] = []
         self.pairwise = pairwise
         self.on_stuck = on_stuck
         self.stuck_timeout_ns = stuck_timeout_ns
@@ -474,6 +483,8 @@ class AomReceiverLib:
                 progressed = True
                 if tel is not None:
                     tel.metrics.inc("aom.drop_notifications", node=self.host.name)
+                for hook in self.on_deliver:
+                    hook(self.epoch, seq, "drop-notification")
                 self.deliver_drop(
                     DropNotification(self.config.group_id, self.epoch, seq)
                 )
@@ -493,6 +504,8 @@ class AomReceiverLib:
             progressed = True
             if tel is not None:
                 tel.metrics.inc("aom.delivered", node=self.host.name)
+            for hook in self.on_deliver:
+                hook(cert.epoch, cert.sequence, "certificate")
             self.deliver(cert)
         if progressed:
             self.last_delivery_ns = self.host.sim.now

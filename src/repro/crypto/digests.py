@@ -34,10 +34,13 @@ class HashChain:
     NeoBFT replies carry ``log-hash`` — the chain head over the log prefix —
     computed in O(1) per request exactly as Speculative Paxos does. The
     chain also supports truncation for speculative rollback: heads for every
-    position are retained so rolling back to slot *k* is O(1) too.
+    retained position are kept so rolling back to length *k* is O(1) too.
+    ``release_below`` forgets the heads before a length (the log's
+    low-water mark); the head *at* that length stays as the chain's base.
     """
 
     def __init__(self, genesis: bytes = _EMPTY):
+        self._base = 0  # length of the chain at _heads[0]
         self._heads: List[bytes] = [genesis]
 
     def append(self, element_digest: bytes) -> bytes:
@@ -53,19 +56,26 @@ class HashChain:
 
     def __len__(self) -> int:
         """Number of elements appended (genesis excluded)."""
-        return len(self._heads) - 1
+        return self._base + len(self._heads) - 1
 
     def head_at(self, length: int) -> bytes:
         """Chain head after the first ``length`` elements."""
-        if not 0 <= length < len(self._heads):
+        if not self._base <= length <= len(self):
             raise IndexError(f"no head recorded for length {length}")
-        return self._heads[length]
+        return self._heads[length - self._base]
 
     def truncate(self, length: int) -> None:
         """Roll the chain back to its first ``length`` elements."""
-        if not 0 <= length <= len(self):
+        if not self._base <= length <= len(self):
             raise IndexError(f"cannot truncate chain of {len(self)} to {length}")
-        del self._heads[length + 1 :]
+        del self._heads[length - self._base + 1 :]
+
+    def release_below(self, length: int) -> None:
+        """Forget the heads before ``length``; ``head_at(length)`` stays."""
+        if not self._base <= length <= len(self):
+            raise IndexError(f"cannot release chain of {len(self)} below {length}")
+        del self._heads[: length - self._base]
+        self._base = length
 
     @staticmethod
     def verify(genesis: bytes, element_digests: List[bytes], head: bytes) -> bool:

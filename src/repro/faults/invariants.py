@@ -51,8 +51,10 @@ class InvariantMonitor:
         self.violations: List[str] = []
         self._sim = None  # set at attach; used to find the telemetry sink
         self._restores: List[Callable[[], None]] = []
-        # slot -> (digest, name of the first replica to commit it)
+        # slot -> (digest, name of the first replica to commit it), for
+        # slots at or above the lowest watched commit cursor
         self._slot_digests: Dict[int, Tuple[bytes, str]] = {}
+        self._digest_floor = 0  # slots below it are dropped from _slot_digests
         # replica name -> (commit_cursor, chain hash over the committed prefix)
         self._commit_watch: Dict[str, Tuple[int, Optional[bytes]]] = {}
         # (replica name, epoch) -> next expected aom sequence
@@ -69,9 +71,12 @@ class InvariantMonitor:
                 hook = partial(self._check_commits, replica.name)
                 log.on_commit.append(hook)
                 self._restores.append(partial(log.on_commit.remove, hook))
+                self._commit_watch.setdefault(replica.name, (0, None))
             lib = getattr(replica, "aom_lib", None)
             if lib is not None:
-                self._watch_aom(replica, lib)
+                hook = partial(self._check_sequence, replica.name)
+                lib.on_deliver.append(hook)
+                self._restores.append(partial(lib.on_deliver.remove, hook))
         return self
 
     def detach(self) -> None:
@@ -118,38 +123,18 @@ class InvariantMonitor:
                     f"{seen[0].hex()[:12]}",
                     trace=trace,
                 )
+        # Every watched replica has compared its digest below the lowest
+        # cursor, and a cursor never shrinks unflagged: drop those slots.
+        floor = min(cursor for cursor, _ in self._commit_watch.values())
+        for slot in range(self._digest_floor, floor):
+            self._slot_digests.pop(slot, None)
+        self._digest_floor = max(self._digest_floor, floor)
         self.checks += 1
 
     # ------------------------------------------------------------- delivery
 
-    def _watch_aom(self, replica, lib) -> None:
-        # The receiver lib holds the delivery callbacks as attributes (it
-        # captured the replica's bound methods at build time), so the wrap
-        # must happen on the lib, not on the replica.
-        original_deliver = lib.deliver
-        original_drop = lib.deliver_drop
-        name = replica.name
-
-        def checked_deliver(cert) -> None:
-            self._check_sequence(name, cert.epoch, cert.sequence, "certificate")
-            original_deliver(cert)
-
-        def checked_drop(notification) -> None:
-            self._check_sequence(
-                name, notification.epoch, notification.sequence, "drop-notification"
-            )
-            original_drop(notification)
-
-        lib.deliver = checked_deliver
-        lib.deliver_drop = checked_drop
-
-        def restore() -> None:
-            lib.deliver = original_deliver
-            lib.deliver_drop = original_drop
-
-        self._restores.append(restore)
-
     def _check_sequence(self, name: str, epoch: int, sequence: int, what: str) -> None:
+        """``on_deliver`` hook: ``name``'s aom lib is delivering ``sequence``."""
         key = (name, epoch)
         expected = self._aom_expected.get(key, 1)
         if sequence != expected:

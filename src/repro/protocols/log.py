@@ -61,34 +61,41 @@ class ReplicaLog:
     as ``hook(log, before)`` whenever ``mark_committed_up_to`` advances
     ``commit_cursor`` from ``before``, after the newly covered slots are
     marked. The invariant monitor subscribes here.
+
+    ``low_water`` is the first retained slot: ``release_below`` forgets
+    the entries and chain heads before a point the family knows no peer
+    will ask about again. Slot numbers keep their meaning and ``len`` stays
+    the next slot; ``entries[i]`` is slot ``low_water + i``.
     """
 
     def __init__(self):
-        self.entries: List[LogEntry] = []
+        self.entries: List[LogEntry] = []  # slots [low_water, len(self))
         self.chain = HashChain()
+        self.low_water = 0  # slots below it are released
         self.exec_cursor = 0  # slots [0, exec_cursor) are executed
         self.commit_cursor = 0  # slots [0, commit_cursor) are durable
         self.on_commit: List[Callable[["ReplicaLog", int], None]] = []
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.low_water + len(self.entries)
 
     @property
     def next_slot(self) -> int:
         """Index the next append lands in."""
-        return len(self.entries)
+        return len(self)
 
     def get(self, slot: int) -> Optional[LogEntry]:
-        """Entry at ``slot`` (None when out of range)."""
-        if 0 <= slot < len(self.entries):
-            return self.entries[slot]
+        """Entry at ``slot`` (None when released or out of range)."""
+        index = slot - self.low_water
+        if 0 <= index < len(self.entries):
+            return self.entries[index]
         return None
 
     def append(self, entry: LogEntry) -> int:
         """Append; returns the slot index."""
         self.entries.append(entry)
         self.chain.append(entry.digest)
-        return len(self.entries) - 1
+        return len(self) - 1
 
     def head_hash(self) -> bytes:
         """Current chain head over all entries."""
@@ -107,9 +114,10 @@ class ReplicaLog:
         executed; returns the entries [slot:] — the no-op and the suffix —
         that the caller must (re-)execute.
         """
-        if not 0 <= slot < len(self.entries):
+        if not 0 <= slot < len(self):
             raise IndexError(f"no slot {slot} to overwrite")
-        suffix = self.entries[slot + 1 :]
+        self._check_retained(slot)
+        suffix = self.entries[slot - self.low_water + 1 :]
         self.truncate(slot)
         self.append(
             LogEntry(
@@ -122,12 +130,12 @@ class ReplicaLog:
         )
         for entry in suffix:
             self.append(entry)
-        return self.entries[slot:]
+        return self.entries[slot - self.low_water :]
 
     def truncate(self, slot: int) -> None:
         """Drop slots >= ``slot`` and their chain heads, undoing their execution."""
         self.rollback_to(slot)
-        del self.entries[slot:]
+        del self.entries[slot - self.low_water :]
         self.chain.truncate(slot)
 
     def rollback_to(self, slot: int) -> List[LogEntry]:
@@ -136,21 +144,27 @@ class ReplicaLog:
         Undo closures run in reverse order, restoring application state to
         just before ``slot`` executed.
         """
+        self._check_retained(slot)
+        start = slot - self.low_water
         if self.exec_cursor <= slot:
-            return self.entries[slot:]
-        for entry in reversed(self.entries[slot : self.exec_cursor]):
+            return self.entries[start:]
+        for entry in reversed(self.entries[start : self.exec_cursor - self.low_water]):
             if entry.executed and entry.undo is not None:
                 entry.undo()
             entry.executed = False
             entry.undo = None
         self.exec_cursor = slot
-        return self.entries[slot:]
+        return self.entries[start:]
+
+    def _check_retained(self, slot: int) -> None:
+        if slot < self.low_water:
+            raise ValueError(f"slot {slot} is below the low-water mark {self.low_water}")
 
     # ------------------------------------------------------------ execution
 
     def next_unexecuted(self) -> Optional[int]:
         """Lowest slot not yet executed, if it exists."""
-        if self.exec_cursor < len(self.entries):
+        if self.exec_cursor < len(self):
             return self.exec_cursor
         return None
 
@@ -162,7 +176,7 @@ class ReplicaLog:
         """
         if slot != self.exec_cursor:
             raise ValueError(f"out-of-order execution: {slot} != {self.exec_cursor}")
-        entry = self.entries[slot]
+        entry = self.entries[slot - self.low_water]
         entry.executed = True
         entry.result = result
         entry.undo = undo if slot >= self.commit_cursor else None
@@ -176,12 +190,28 @@ class ReplicaLog:
         runs the ``on_commit`` hooks if the cursor moved.
         """
         before = self.commit_cursor
-        end = min(slot + 1, len(self.entries))
+        end = min(slot + 1, len(self))
         if end <= before:
             return
-        for entry in self.entries[before:end]:
+        for entry in self.entries[before - self.low_water : end - self.low_water]:
             entry.committed = True
             entry.undo = None
         self.commit_cursor = end
         for hook in self.on_commit:
             hook(self, before)
+
+    # ------------------------------------------------------------ release
+
+    def release_below(self, slot: int) -> None:
+        """Forget the entries and chain heads of slots below ``slot``.
+
+        The mark is clamped to the commit and execution cursors, so only
+        durable, executed slots go. ``hash_up_to(low_water - 1)`` keeps
+        working: the chain keeps its head at the new base.
+        """
+        mark = min(slot, self.commit_cursor, self.exec_cursor)
+        if mark <= self.low_water:
+            return
+        del self.entries[: mark - self.low_water]
+        self.chain.release_below(mark)
+        self.low_water = mark

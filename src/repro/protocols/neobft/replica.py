@@ -526,8 +526,10 @@ class NeoBftReplica(BaseReplica):
         self._clear_gap_timers(slot)
         if slot < self.log.next_slot:
             # Already executed a request here: roll back, no-op, re-execute.
+            # A released slot (below the low-water mark) is durable at every
+            # replica; like a no-op in place, it keeps its log entry.
             entry = self.log.get(slot)
-            if entry.kind == EntryKind.NOOP:
+            if entry is None or entry.kind == EntryKind.NOOP:
                 return
             self.metrics.add("rollbacks")
             self.log.overwrite_with_noop(slot, gap_cert, _view_int(self.view_id))
@@ -771,6 +773,17 @@ class NeoBftReplica(BaseReplica):
             self.metrics.add("sync_points")
             for stale in [s for s in self._sync_votes if s < sync.slot]:
                 self._sync_votes.pop(stale, None)
+            # Once all n replicas announced the point in this view, every
+            # one has logged [0, slot): none will query, gap-find or
+            # state-transfer below it, and each rebuilds a view-change
+            # merge from its own entries at or above its commit cursor.
+            # 2f+1 would strand a lagging correct replica, which would
+            # then need checkpoint state transfer.
+            if all(
+                votes.get(r) is not None and votes[r].view == self.view_id
+                for r in self.group.replica_addrs
+            ):
+                self.log.release_below(sync.slot)
 
     def _apply_foreign_gap_cert(self, slot: int, cert: Tuple[GapCommit, ...]) -> None:
         if slot in self._gap_certs:
@@ -787,7 +800,7 @@ class NeoBftReplica(BaseReplica):
                 return
             seen.add(commit.replica)
         entry = self.log.get(slot)
-        if entry is not None and entry.kind == EntryKind.NOOP:
+        if slot < self.log.low_water or (entry is not None and entry.kind == EntryKind.NOOP):
             self._gap_certs[slot] = cert
             return
         self._resolve_gap_with_noop(slot, cert)
@@ -976,7 +989,7 @@ class NeoBftReplica(BaseReplica):
 
     def _summaries_range(self, start: int, end: int) -> Tuple[LogEntrySummary, ...]:
         out = []
-        for slot in range(max(0, start), min(end, len(self.log))):
+        for slot in range(max(self.log.low_water, start), min(end, len(self.log))):
             entry = self.log.get(slot)
             out.append(
                 LogEntrySummary(
@@ -1083,6 +1096,8 @@ class NeoBftReplica(BaseReplica):
         # Step 4: no-ops override requests wherever a gap certificate exists.
         for vc in view_changes:
             for entry in vc.log:
+                if entry.slot < self.log.commit_cursor:
+                    continue
                 if entry.is_noop and self._entry_is_valid(entry):
                     current = merged.get(entry.slot)
                     if current is None or not current.is_noop:

@@ -289,6 +289,9 @@ class PbftReplica(BaseReplica):
         if len(votes) >= self.group.quorum and checkpoint.seq > self.last_stable:
             self.last_stable = checkpoint.seq
             self.metrics.add("stable_checkpoints")
+            # A log slot is its seq; nothing reads one at or below a
+            # stable checkpoint.
+            self.log.release_below(self.last_stable + 1)
             for seq in [s for s in self.slots if s <= checkpoint.seq]:
                 if self.slots[seq].executed:
                     del self.slots[seq]

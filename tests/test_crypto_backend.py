@@ -176,6 +176,25 @@ class TestHashChain:
         with pytest.raises(IndexError):
             chain.truncate(5)
 
+    def test_release_keeps_base_head(self):
+        chain = HashChain()
+        heads = [chain.head]
+        for tag in b"abcde":
+            chain.append(sha256_digest(bytes([tag])))
+            heads.append(chain.head)
+        chain.release_below(3)
+        assert len(chain) == 5
+        assert chain.head_at(3) == heads[3] and chain.head_at(5) == heads[5]
+        with pytest.raises(IndexError):
+            chain.head_at(2)
+        with pytest.raises(IndexError):
+            chain.truncate(2)
+        chain.truncate(4)
+        assert chain.head == heads[4]
+        # Appending after a release extends from the retained head.
+        chain.append(sha256_digest(b"e"))
+        assert chain.head == heads[5]
+
     def test_verify_recomputes(self):
         digests = [sha256_digest(bytes([i])) for i in range(5)]
         chain = HashChain()

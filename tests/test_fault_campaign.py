@@ -110,17 +110,20 @@ class TestInvariantMonitor:
             r1.log.mark_committed_up_to(1)
 
     def test_out_of_order_aom_delivery_raises(self):
-        lib = SimpleNamespace(
-            deliver=lambda cert: None, deliver_drop=lambda note: None
-        )
+        lib = SimpleNamespace(on_deliver=[])
         replica = SimpleNamespace(name="r0", aom_lib=lib)
         InvariantMonitor().attach(SimpleNamespace(replicas=[replica]))
-        lib.deliver(SimpleNamespace(epoch=1, sequence=1))
-        lib.deliver_drop(SimpleNamespace(epoch=1, sequence=2))
+
+        def deliver(epoch, sequence, what="certificate"):
+            for hook in lib.on_deliver:
+                hook(epoch, sequence, what)
+
+        deliver(1, 1)
+        deliver(1, 2, "drop-notification")
         with pytest.raises(InvariantViolation, match="expected 3"):
-            lib.deliver(SimpleNamespace(epoch=1, sequence=5))
+            deliver(1, 5)
         # A new epoch restarts the expected stream at 1.
-        lib.deliver(SimpleNamespace(epoch=2, sequence=1))
+        deliver(2, 1)
 
     def test_violation_carries_campaign_timeline(self):
         r1, r2 = fake_replica("r1"), fake_replica("r2")
@@ -146,6 +149,34 @@ class TestInvariantMonitor:
         assert len(r1.log.on_commit) == 1 and len(r2.log.on_commit) == 1
         monitor.detach()
         assert r1.log.on_commit == [] and r2.log.on_commit == []
+
+    def test_slot_digests_kept_only_above_lowest_cursor(self):
+        r1, r2 = fake_replica("r1"), fake_replica("r2")
+        monitor = InvariantMonitor().attach(SimpleNamespace(replicas=[r1, r2]))
+        for replica in (r1, r2):
+            for tag in b"abcd":
+                replica.log.append(entry(bytes([tag]) * 32))
+        r1.log.mark_committed_up_to(3)
+        assert sorted(monitor._slot_digests) == [0, 1, 2, 3]  # r2 has not compared
+        r2.log.mark_committed_up_to(1)
+        assert sorted(monitor._slot_digests) == [2, 3]
+        # A conflict above the lowest cursor is still caught.
+        r2.log.entries[2].digest = b"z" * 32
+        with pytest.raises(InvariantViolation, match="slot 2"):
+            r2.log.mark_committed_up_to(2)
+
+    def test_aom_receivers_report_through_on_deliver(self):
+        cluster = build_cluster(ClusterOptions(protocol="neobft-hm", num_clients=2, seed=3))
+        monitor = InvariantMonitor().attach(cluster)
+        libs = [replica.aom_lib for replica in cluster.replicas]
+        assert all(len(lib.on_deliver) == 1 for lib in libs)
+        Measurement(cluster, warmup_ns=0, duration_ns=ms(1)).run()
+        # Every sequence each receiver handed over went through the hook.
+        for replica, lib in zip(cluster.replicas, libs):
+            assert lib.next_seq > 1
+            assert monitor._aom_expected[(replica.name, lib.epoch)] == lib.next_seq
+        monitor.detach()
+        assert all(lib.on_deliver == [] for lib in libs)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class TestGapMessageValidation:
     def test_query_reply_with_wrong_slot_cert_ignored(self, cluster):
         replica = cluster.replicas[1]
         # A real certificate for slot k cannot fill slot k+1.
-        entry = replica.log.get(0)
+        entry = replica.log.get(len(replica.log) - 1)
         cert = entry.evidence
         log_before = len(replica.log)
         fake = QueryReply(replica.view_id, slot=log_before + 5, oc=cert)

@@ -131,6 +131,57 @@ class TestReplicaLog:
         assert log.get(1).undo is not None
 
 
+class TestReplicaLogRelease:
+    def executed_log(self, count: int, committed: int) -> ReplicaLog:
+        log = ReplicaLog()
+        for i in range(count):
+            slot = log.append(request_entry(bytes([i])))
+            log.mark_executed(slot, b"", lambda: None)
+        log.mark_committed_up_to(committed - 1)
+        return log
+
+    def test_release_keeps_slot_numbers_and_prefix_hash(self):
+        log = self.executed_log(6, committed=4)
+        heads = [log.hash_up_to(s) for s in range(6)]
+        tail = log.get(4)
+        log.release_below(3)
+        assert log.low_water == 3
+        assert len(log) == log.next_slot == 6
+        assert len(log.entries) == 3
+        assert log.get(2) is None and log.get(0) is None
+        assert log.get(4) is tail
+        assert log.hash_up_to(log.low_water - 1) == heads[2]
+        assert log.hash_up_to(5) == heads[5]
+        assert log.append(request_entry(b"x")) == 6
+
+    def test_release_clamps_to_commit_and_exec_cursors(self):
+        log = self.executed_log(6, committed=4)
+        log.release_below(10)
+        assert log.low_water == 4  # commit cursor
+        log = ReplicaLog()
+        for tag in (b"a", b"b", b"c"):
+            log.append(request_entry(tag))
+        log.mark_committed_up_to(2)
+        log.mark_executed(0, b"", None)
+        log.release_below(3)
+        assert log.low_water == 1  # exec cursor
+        log.release_below(0)
+        assert log.low_water == 1  # never moves back
+
+    def test_rewrites_below_low_water_raise(self):
+        log = self.executed_log(6, committed=4)
+        log.release_below(3)
+        for rewrite in (log.truncate, log.rollback_to):
+            with pytest.raises(ValueError):
+                rewrite(2)
+        with pytest.raises(ValueError):
+            log.overwrite_with_noop(1, evidence=None, view=0)
+        assert len(log) == 6 and log.exec_cursor == 6
+        # At and above the mark, rollback and truncation still work.
+        log.truncate(5)
+        assert len(log) == 5 and log.exec_cursor == 5
+
+
 class TestQuorumTracker:
     def test_threshold_reached_once(self):
         tracker = QuorumTracker(3)

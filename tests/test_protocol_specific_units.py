@@ -97,29 +97,56 @@ class TestNeoBftStateSync:
         )
         assert run.replica_metrics.get("sync_points", 0) > 0
         for replica in cluster.replicas:
-            assert replica.log.commit_cursor > 0
-            # Committed prefix is flagged and never exceeds the log.
-            assert replica.log.commit_cursor <= len(replica.log)
-            assert replica.log.get(0).committed
+            log = replica.log
+            assert log.commit_cursor > 0
+            # Committed prefix is flagged and never exceeds the log; the
+            # released part of it lies below the retained entries.
+            assert log.low_water <= log.commit_cursor <= len(log)
+            committed = log.entries[: log.commit_cursor - log.low_water]
+            assert all(e.committed for e in committed)
 
-    def test_commit_releases_undo_closures(self):
-        sync_interval = 64
+    SYNC_INTERVAL = 64
+
+    @pytest.fixture(scope="class")
+    def short_and_long_logs(self):
+        """Replica logs after a 4 ms and a 16 ms run at ``SYNC_INTERVAL``."""
         logs = {}
         for duration in (ms(4), ms(16)):
             cluster, _ = run_cluster(
                 "neobft-hm", clients=6, duration=duration,
-                replica_kwargs={"sync_interval": sync_interval},
+                replica_kwargs={"sync_interval": self.SYNC_INTERVAL},
             )
             logs[duration] = [replica.log for replica in cluster.replicas]
         short, long = logs[ms(4)], logs[ms(16)]
         assert min(len(log) for log in long) > 3 * max(len(log) for log in short)
+        return short, long
+
+    def test_commit_releases_undo_closures(self, short_and_long_logs):
+        sync_interval = self.SYNC_INTERVAL
+        short, long = short_and_long_logs
         for log in short + long:
             assert log.commit_cursor > 0
-            assert all(e.undo is None for e in log.entries[: log.commit_cursor])
+            committed = log.entries[: log.commit_cursor - log.low_water]
+            assert all(e.undo is None for e in committed)
             # Only the uncommitted suffix past the last sync point holds
             # undo, so the count does not grow with the run.
             held = sum(e.undo is not None for e in log.entries)
             assert held < sync_interval
+
+    def test_sync_points_release_log_prefix(self, short_and_long_logs):
+        sync_interval = self.SYNC_INTERVAL
+        short, long = short_and_long_logs
+        for log in short + long:
+            assert 0 < log.low_water <= log.commit_cursor
+            # Entries and chain heads are kept only past the last sync
+            # point every replica announced, however long the run.
+            assert len(log.entries) == len(log) - log.low_water < 3 * sync_interval
+            assert log.get(log.low_water - 1) is None
+        for group in (short, long):
+            # The chain head at the highest low-water mark is still there
+            # at every replica, and they agree on it.
+            mark = max(log.low_water for log in group)
+            assert len({log.hash_up_to(mark - 1) for log in group}) == 1
 
     def test_view_change_payload_shrinks_with_sync(self):
         cluster, _ = run_cluster(
@@ -142,6 +169,18 @@ class TestPbftCheckpoints:
         # Executed slots at or below the stable checkpoint are gone.
         assert all(seq > replica.last_stable or not state.executed
                    for seq, state in replica.slots.items())
+
+    def test_stable_checkpoints_release_log_prefix(self):
+        cluster, _ = run_cluster(
+            "pbft", clients=6, duration=ms(20),
+            replica_kwargs={"checkpoint_interval": 16},
+        )
+        for replica in cluster.replicas:
+            log = replica.log
+            # A log slot is a seq: everything up to the stable checkpoint
+            # that the replica executed is released.
+            assert log.low_water == min(replica.last_stable + 1, log.exec_cursor) > 0
+            assert len(log) - log.low_water < 2 * 16
 
     def test_checkpoint_digests_match(self):
         cluster, _ = run_cluster("pbft", clients=4, duration=ms(15))

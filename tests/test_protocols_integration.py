@@ -183,6 +183,9 @@ class TestLeaderFailure:
         from repro.protocols.log import EntryKind
 
         reference = live[0]
+        # The silent leader never sends SYNC, so no sync point reaches all
+        # n replicas and nothing is released: the scan sees every slot.
+        assert reference.log.low_water == 0
         noops = [e for e in reference.log.entries if e.kind == EntryKind.NOOP]
         assert noops
 
@@ -222,6 +225,8 @@ class TestGapAgreement:
     def test_logs_fill_gaps_with_requests_or_noops(self):
         cluster, run = self._run_with_victim_drops(victim_index=2)
         victim = cluster.replicas[2]
-        # Every slot up to the execution cursor is occupied.
-        for slot in range(victim.log.exec_cursor):
+        # Every slot up to the execution cursor is occupied; slots below
+        # the low-water mark were executed and committed before release.
+        assert victim.log.low_water <= min(victim.log.commit_cursor, victim.log.exec_cursor)
+        for slot in range(victim.log.low_water, victim.log.exec_cursor):
             assert victim.log.get(slot) is not None

@@ -101,18 +101,18 @@ class TestInvariantSpanAttach:
         )
         monitor = InvariantMonitor().attach(cluster)
         measurement.run()
-        # Forge a conflict for a slot a request actually committed to, so
-        # the violation message carries that request's span tree.
-        replica = cluster.replicas[0]
+        # Forge a conflict for a slot a request executed at, then commit
+        # it, so the violation message carries that request's span tree.
+        # (Slots below the last sync point every replica reached are
+        # released, so the slot is taken from the uncommitted suffix.)
+        log = cluster.replicas[0].log
         slot = next(
-            s for s in range(replica.log.commit_cursor)
-            if replica.log.get(s).request is not None
+            s for s in range(log.commit_cursor, log.exec_cursor)
+            if log.get(s).request is not None
         )
-        entry = replica.log.get(slot)
         monitor._slot_digests[slot] = (b"\xde\xad" * 16, "rigged-replica")
-        hook = replica.log.on_commit[-1]
         with pytest.raises(InvariantViolation) as exc:
-            hook(replica.log, slot)
+            log.mark_committed_up_to(slot)
         message = str(exc.value)
         assert "offending request span tree" in message
         assert "request" in message
