@@ -31,6 +31,7 @@ FAMILY_RUNS = {
     "zyzzyva": (7_844, "8e7cb7ad218eaaa10e34de034e41eb8c5e2e7e2cce71c7c35a1d96ece4d89811"),
     "hotstuff": (843, "3d77d28e0f445025b01d032481f71116b7c2219c7db078917ae9d661f4d346ac"),
     "minbft": (2_273, "9a30ab9de08a972d2e026a1da7d3ce3f9d6877a81df6f745bcc27c9da2bce95d"),
+    "unreplicated": (19_065, "fc8650475c0e62f89b9011ff8ea1b112feca6477899d915f7b95fc2968325f7a"),
 }
 
 #: A replica crash, recovered through state transfer, on neobft-hm
