@@ -1,19 +1,23 @@
 """Byzantine replica behaviours.
 
-These wrap a live replica object. They never touch key material — a
-Byzantine node can lie, stay silent, or garble its own traffic, but it
-cannot forge other nodes' authenticators (that is the crypto boundary the
-backends enforce).
+Every behaviour is one or two interposers on a live replica's
+:class:`~repro.net.endpoint.Endpoint` chains
+(:meth:`~repro.net.endpoint.Endpoint.add_receive_interposer`,
+:meth:`~repro.net.endpoint.Endpoint.add_send_interposer`), and returns
+the function that removes exactly its own entries. Overlapping faults on
+one replica therefore heal independently, in any order. They never touch
+key material — a Byzantine node can lie, stay silent, or garble its own
+traffic, but it cannot forge other nodes' authenticators (that is the
+crypto boundary the backends enforce).
 
 Two families:
 
-- **availability faults** (silent, crash, slow) patch the replica's
-  receive/send paths directly;
+- **availability faults**: silent and slow interpose on receive, crash
+  on both paths, and reply corruption on send;
 - **active adversaries** (equivocating primary, stale-view replayer,
-  corrupt-MAC sender, vote withholder) install send-path interposers via
-  :meth:`~repro.protocols.base.BaseReplica.add_send_interposer` and use
-  the per-protocol forgery hooks in :mod:`repro.protocols.adversary` —
-  the attacks NeoBFT's (and the baselines') quorum logic is defending
+  corrupt-MAC sender, vote withholder) interpose on send and use the
+  per-protocol forgery hooks in :mod:`repro.protocols.adversary` — the
+  attacks NeoBFT's (and the baselines') quorum logic is defending
   against, exercised across pbft/zyzzyva/minbft/hotstuff/neobft alike.
 """
 
@@ -33,17 +37,11 @@ def make_silent(replica) -> Callable[[], None]:
 
     Returns an undo function (the replica "recovers" when called).
     """
-    original = replica.on_message
 
     def muted(src: int, message: object) -> None:
         replica.metrics.add("byzantine_dropped")
 
-    replica.on_message = muted
-
-    def restore() -> None:
-        replica.on_message = original
-
-    return restore
+    return replica.add_receive_interposer(muted)
 
 
 def corrupt_replies(replica) -> Callable[[], None]:
@@ -52,29 +50,15 @@ def corrupt_replies(replica) -> Callable[[], None]:
     Clients must reject the corrupted reply (bad MAC match against the
     quorum) — the safety tests assert corrupted results never win.
     """
-    original_send = replica.send
 
-    def tampering_send(dst, message):
+    def tamper(dst: int, message: object) -> object:
         if isinstance(message, ClientReply):
-            message = ClientReply(
-                view=message.view,
-                replica=message.replica,
-                request_id=message.request_id,
-                result=b"\xff" + message.result,
-                slot=message.slot,
-                log_hash=message.log_hash,
-                tag=message.tag,  # stale tag: fails verification
-                extra=message.extra,
-            )
             replica.metrics.add("byzantine_corrupted")
-        original_send(dst, message)
+            # The stale tag no longer matches the result: fails verification.
+            return dataclass_replace(message, result=b"\xff" + message.result)
+        return message
 
-    replica.send = tampering_send
-
-    def restore() -> None:
-        replica.send = original_send
-
-    return restore
+    return replica.add_send_interposer(tamper)
 
 
 def crash_replica(replica) -> Callable[[], None]:
@@ -90,23 +74,23 @@ def crash_replica(replica) -> Callable[[], None]:
     the node catches up on the slots it slept through instead of grinding
     them out one gap agreement at a time.
     """
-    original_on_message = replica.on_message
-    original_send = replica.send
 
     def dark_receive(src: int, message: object) -> None:
         replica.metrics.add("crash_dropped")
 
-    def dark_send(dst, message) -> None:
+    def dark_send(dst: int, message: object) -> None:
         replica.metrics.add("crash_suppressed")
 
-    replica.on_message = dark_receive
-    replica.send = dark_send
+    removers = [
+        replica.add_receive_interposer(dark_receive),
+        replica.add_send_interposer(dark_send),
+    ]
 
     def recover() -> None:
-        if replica.on_message is not dark_receive:
+        if not removers:
             return  # double-recover is a no-op
-        replica.on_message = original_on_message
-        replica.send = original_send
+        while removers:
+            removers.pop()()
         replica.metrics.add("crash_recoveries")
         replay = getattr(replica, "request_state_transfer", None)
         if replay is not None:
@@ -240,15 +224,9 @@ def withhold_votes(replica) -> Callable[[], None]:
 
 def delay_everything(replica, delay_ns: int) -> Callable[[], None]:
     """Slow-replica behaviour: add fixed processing delay to every message."""
-    original = replica.on_message
 
-    def slow(src: int, message: object) -> None:
+    def slow(src: int, message: object) -> object:
         replica.charge(delay_ns)
-        original(src, message)
+        return message
 
-    replica.on_message = slow
-
-    def restore() -> None:
-        replica.on_message = original
-
-    return restore
+    return replica.add_receive_interposer(slow)

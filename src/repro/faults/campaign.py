@@ -10,11 +10,10 @@ under a fixed seed: randomized faults draw from named
 :class:`~repro.sim.randomness.RandomStreams` keyed by the event label,
 never from global randomness.
 
-The campaign keeps a structured timeline of everything it did (and
-mirrors it into a :class:`~repro.runtime.tracing.Tracer` when one is
-supplied), which :class:`~repro.faults.invariants.InvariantMonitor`
-attaches to violation reports — a safety failure names the exact fault
-schedule that provoked it.
+The campaign keeps a structured timeline of everything it did, which
+:class:`~repro.faults.invariants.InvariantMonitor` attaches to violation
+reports — a safety failure names the exact fault schedule that provoked
+it.
 
 :func:`run_campaign` is the one-call harness: build the cluster, attach
 the monitor, arm the campaign, measure, and return the lot.
@@ -448,7 +447,7 @@ class FaultCampaign:
     def _label_for(self, index: int, event: FaultEvent) -> str:
         return event.label or f"{event.spec.kind}#{index}"
 
-    def arm(self, cluster, tracer=None) -> "FaultCampaign":
+    def arm(self, cluster) -> "FaultCampaign":
         """Schedule every event on the cluster's simulator."""
         if self._armed:
             raise RuntimeError("a FaultCampaign can only be armed once")
@@ -470,13 +469,11 @@ class FaultCampaign:
                         return
                     holder[0] = None
                     undo()
-                    self._record(
-                        sim.now, "heal", label, event.spec.describe(), tracer
-                    )
+                    self._record(sim.now, "heal", label, event.spec.describe())
 
                 holder[0] = heal_once
                 self._active_heals.append((label, heal_once))
-                self._record(sim.now, "inject", label, event.spec.describe(), tracer)
+                self._record(sim.now, "inject", label, event.spec.describe())
 
             def scheduled_heal(holder=holder) -> None:
                 heal_once = holder[0]
@@ -493,17 +490,13 @@ class FaultCampaign:
 
         Idempotent: each injection restores exactly once, even when its
         scheduled heal already fired or ``heal_all`` is called twice.
-        Reverse injection order unwinds stacked faults (e.g. a slow-down
-        layered on a crash) the way nested context managers would.
         """
         while self._active_heals:
             _, heal_once = self._active_heals.pop()
             heal_once()
 
-    def _record(self, time: int, action: str, label: str, detail: str, tracer) -> None:
+    def _record(self, time: int, action: str, label: str, detail: str) -> None:
         self.timeline.append(TimelineEntry(time, action, label, detail))
-        if tracer is not None:
-            tracer.record("campaign", f"fault-{action}", f"{label}: {detail}")
 
     def describe(self) -> str:
         """Human-readable timeline of what actually happened so far."""
@@ -587,7 +580,6 @@ def run_campaign(
     duration_ns: int = ms(100),
     bucket_ns: int = ms(5),
     monitor: bool = True,
-    tracer=None,
     next_op=None,
     **measurement_kwargs,
 ) -> CampaignRun:
@@ -608,7 +600,7 @@ def run_campaign(
         cluster, warmup_ns, duration_ns, next_op, **measurement_kwargs
     )
     completions = CompletionTimeline(cluster, bucket_ns)
-    campaign.arm(cluster, tracer)
+    campaign.arm(cluster)
     result = measurement.run()
     campaign.heal_all()
     return CampaignRun(

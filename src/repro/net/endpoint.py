@@ -6,17 +6,27 @@ actor's CPU model to the fabric: inbound packets queue on the CPU and are
 charged per-message receive cost before the protocol handler runs;
 outbound sends are charged immediately and depart when the producing
 handler's CPU time completes.
+
+Two interposer chains sit on those paths, for fault behaviours and test
+harnesses: each interposer returns a replacement message, or ``None`` to
+drop it, and the chain runs in installation order. Send interposers run
+before the outbound message is sized and charged; receive interposers
+run after the receive cost is charged and before :meth:`on_message`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.net.fabric import EndpointPort, Fabric
 from repro.net.packet import Address, Packet, wire_size_of
 from repro.sim.actors import Actor
 from repro.sim.engine import Simulator
+from repro.sim.monitor import Counter
+
+#: ``(peer, message) -> replacement message, or None to drop it``.
+Interposer = Callable[[int, object], Optional[object]]
 
 
 class Endpoint(Actor, EndpointPort):
@@ -35,9 +45,9 @@ class Endpoint(Actor, EndpointPort):
         self.address: Optional[int] = None
         self.messages_sent = 0
         self.messages_received = 0
-        from repro.sim.monitor import Counter
-
         self.metrics = Counter()
+        self._send_interposers: List[Interposer] = []
+        self._receive_interposers: List[Interposer] = []
 
     def attach(self, fabric: Fabric, address: Optional[int] = None) -> int:
         """Connect to the fabric; returns the assigned host address."""
@@ -45,12 +55,35 @@ class Endpoint(Actor, EndpointPort):
         self.address = fabric.attach(self, address)
         return self.address
 
+    # -------------------------------------------------------- interposition
+
+    def add_send_interposer(self, interposer: Interposer) -> Callable[[], None]:
+        """Install a send-path interposer; returns its idempotent remover.
+
+        It sees ``(dst, message)`` after the handler produced the message
+        and before transport charging, so a replacement is sized and
+        charged as what actually leaves the host.
+        """
+        return _install(self._send_interposers, interposer)
+
+    def add_receive_interposer(self, interposer: Interposer) -> Callable[[], None]:
+        """Install a receive-path interposer; returns its idempotent remover.
+
+        It sees ``(src, message)`` after the receive cost is charged and
+        before :meth:`on_message`.
+        """
+        return _install(self._receive_interposers, interposer)
+
     # ---------------------------------------------------------------- send
 
     def send(self, dst: Address, message: object) -> None:
         """Send a message; departs when the current handler completes."""
         if self.fabric is None or self.address is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
+        for interposer in self._send_interposers:
+            message = interposer(dst, message)
+            if message is None:
+                return
         self.messages_sent += 1
         size = wire_size_of(message)
         self.charge(self.cost.message_cost(size))
@@ -76,8 +109,24 @@ class Endpoint(Actor, EndpointPort):
     def _handle_packet(self, packet: Packet) -> None:
         self.messages_received += 1
         self.charge(self.cost.message_cost(packet.size))
-        self.on_message(packet.src, packet.message)
+        message = packet.message
+        for interposer in self._receive_interposers:
+            message = interposer(packet.src, message)
+            if message is None:
+                return
+        self.on_message(packet.src, message)
 
     def on_message(self, src: int, message: object) -> None:
         """Protocol handler; subclasses override."""
         raise NotImplementedError
+
+
+def _install(chain: List[Interposer], interposer: Interposer) -> Callable[[], None]:
+    """Append ``interposer`` to ``chain``; return a remover for that entry."""
+    chain.append(interposer)
+
+    def remove() -> None:
+        if interposer in chain:
+            chain.remove(interposer)
+
+    return remove

@@ -2,7 +2,7 @@
 
 The Byzantine replica behaviours in :mod:`repro.faults.behaviors` are
 protocol-agnostic — they interpose on a replica's send path (see
-:meth:`repro.protocols.base.BaseReplica.add_send_interposer`) and consult
+:meth:`repro.net.endpoint.Endpoint.add_send_interposer`) and consult
 the registries here to decide what an adversary holding that replica's
 keys could plausibly emit:
 

@@ -25,7 +25,6 @@ from repro.protocols.messages import (
 )
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class BaseReplica(Endpoint):
         self.crypto = crypto
         self.pairwise = pairwise
         self.view = 0
-        self.metrics = Counter()
         self.log = ReplicaLog()
         self.ops_executed = 0
         # At-most-once: latest (request_id, reply) per client.
@@ -99,41 +97,6 @@ class BaseReplica(Endpoint):
         # Requests admitted to ordering but not yet executed (leader-side
         # duplicate suppression against client retries).
         self._inflight_requests: set = set()
-        # Send-path interposers (Byzantine behaviours, test harnesses):
-        # each sees (dst, message) and returns a replacement message or
-        # None to suppress the send. Applied in installation order.
-        self._send_interposers: List[Callable[[int, object], Optional[object]]] = []
-
-    # ----------------------------------------------------- send interposition
-
-    def add_send_interposer(
-        self, interposer: Callable[[int, object], Optional[object]]
-    ) -> Callable[[], None]:
-        """Install a send-path interposer; returns its remover.
-
-        The interposition point is *after* the protocol handler produced
-        the message and *before* transport charging, so a replacement
-        message is charged (and sized) as what actually leaves the host —
-        exactly where a Byzantine process would rewrite its own traffic.
-        Removal is idempotent.
-        """
-        self._send_interposers.append(interposer)
-
-        def remove() -> None:
-            try:
-                self._send_interposers.remove(interposer)
-            except ValueError:
-                pass
-
-        return remove
-
-    def send(self, dst, message) -> None:
-        """Send with the interposer chain applied (None = suppressed)."""
-        for interposer in self._send_interposers:
-            message = interposer(dst, message)
-            if message is None:
-                return
-        super().send(dst, message)
 
     # ------------------------------------------------------------- identity
 
@@ -152,12 +115,10 @@ class BaseReplica(Endpoint):
         me = self.group.replica_addrs[self.replica_id]
         return [addr for addr in self.group.replica_addrs if addr != me]
 
-    def broadcast(self, message: object, include_self: bool = False) -> None:
-        """Send to all other replicas (optionally loop back to self)."""
+    def broadcast(self, message: object) -> None:
+        """Send to all other replicas."""
         for addr in self.peers():
             self.send(addr, message)
-        if include_self:
-            self.execute_now(self.on_message, self.group.replica_addrs[self.replica_id], message)
 
     # ------------------------------------------------------ client plumbing
 
@@ -200,24 +161,6 @@ class BaseReplica(Endpoint):
         return verify_request(
             self.pairwise, self.address, request, self.crypto.verify_mac
         )
-
-    def is_duplicate(self, request: ClientRequest) -> Optional[ClientReply]:
-        """At-most-once check; returns the cached reply to resend, if any."""
-        seen = self.client_table.get(request.client_id)
-        if seen is None:
-            return None
-        last_id, reply = seen
-        if request.request_id < last_id:
-            return None  # ancient: ignore silently
-        if request.request_id == last_id:
-            return reply
-        return None
-
-    def remember_request(self, request: ClientRequest) -> None:
-        """Record the newest request id for a client."""
-        seen = self.client_table.get(request.client_id)
-        if seen is None or request.request_id > seen[0]:
-            self.client_table[request.client_id] = (request.request_id, None)
 
     def admit_once(self, request: ClientRequest) -> bool:
         """True the first time a not-yet-executed request is admitted.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.protocols.base import BaseClient, BaseReplica, ReplicaGroup
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientRequest
 
 
 class UnreplicatedServer(BaseReplica):
@@ -15,25 +15,8 @@ class UnreplicatedServer(BaseReplica):
         super().__init__(sim, 0, group, app, crypto, pairwise, **kwargs)
 
     def on_message(self, src: int, message: object) -> None:
-        if not isinstance(message, ClientRequest):
-            return
-        cached = self.is_duplicate(message)
-        if cached is not None:
-            self.send(message.client_id, cached)
-            return
-        if not self.check_request_auth(message):
-            self.metrics.add("bad_auth")
-            return
-        self.remember_request(message)
-        result, _ = self.execute_op(message.op, request=message)
-        self.ops_executed += 1
-        reply = ClientReply(
-            view=0,
-            replica=self.address,
-            request_id=message.request_id,
-            result=result,
-        )
-        self.reply_to_client(message.client_id, reply)
+        if isinstance(message, ClientRequest) and self.screen_request(message):
+            self.execute_request(message)
 
 
 class UnreplicatedClient(BaseClient):

@@ -8,6 +8,7 @@ flow again) and that the fault's side effects stop accumulating
 
 import pytest
 
+from repro.faults import FaultCampaign, FaultEvent, FaultSpec
 from repro.faults.behaviors import (
     corrupt_replies,
     crash_replica,
@@ -115,6 +116,43 @@ class TestReplicaBehaviourRestore:
         # State transfer closed the gap (within the tail still in flight).
         assert len(victim.log) > behind
         assert len(victim.log) >= reference
+
+
+class TestOverlappingFaultsHealOutOfOrder:
+    """Two faults on one replica, healed first-in-first-out.
+
+    Each fault removes only its own interposers, so after both heals the
+    replica is clean and catches up with its peers.
+    """
+
+    def run_overlap(self, first: FaultSpec):
+        cluster = build_cluster(
+            ClusterOptions(protocol="neobft-hm", num_clients=4, seed=7)
+        )
+        measurement = Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(10))
+        FaultCampaign(
+            [
+                FaultEvent(ms(1), first, until_ns=ms(3)),
+                FaultEvent(
+                    ms(2), FaultSpec("silent_replica", target=2), until_ns=ms(5)
+                ),
+            ]
+        ).arm(cluster)
+        measurement.run()
+        victim = cluster.replica_by_id(2)
+        assert len(victim.log) >= len(cluster.replica_by_id(0).log)
+        assert victim._send_interposers == []
+        assert victim._receive_interposers == []
+        return victim
+
+    def test_crash_then_silent(self):
+        victim = self.run_overlap(FaultSpec("crash_replica", target=2))
+        assert victim.metrics.get("crash_recoveries") == 1
+
+    def test_slow_then_silent(self):
+        self.run_overlap(
+            FaultSpec("slow_replica", target=2, params={"delay_ns": us(50)})
+        )
 
 
 class TestSequencerFaultRestore:

@@ -1,4 +1,4 @@
-"""Profiles, fault helpers, and endpoint counters."""
+"""Profiles, fault helpers, endpoint counters and interposer chains."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.net import (
     NetworkProfile,
     ReorderInjector,
 )
+from repro.net.packet import wire_size_of
 from repro.net.profiles import DEFAULT_PROFILE, LOSSY_PROFILE, WAN_PROFILE
 from repro.sim import Simulator
 from repro.sim.clock import us
@@ -190,3 +191,59 @@ class TestEndpointCounters:
         sim.run()
         assert a.messages_sent == 2
         assert b.messages_received == 2
+
+
+class TestInterposers:
+    def test_receive_interposer_replaces_and_drops(self):
+        sim, fabric, a, b = pair()
+        b.add_receive_interposer(
+            lambda src, m: None if m == "drop" else m.upper()
+        )
+        a.execute_now(a.send_all, [b.address, b.address], "drop")
+        a.execute_now(a.send, b.address, "keep")
+        sim.run()
+        assert b.seen == ["KEEP"]
+        assert b.messages_received == 3
+
+    def test_receive_interposer_runs_after_receive_charge(self):
+        sim, fabric, a, b = pair()
+        charged = []
+        b.add_receive_interposer(lambda src, m: charged.append(b._charged))
+        a.execute_now(a.send, b.address, "x")
+        sim.run()
+        assert charged == [b.cost.message_cost(wire_size_of("x"))]
+        assert b.seen == []
+
+    def test_removing_one_leaves_the_other(self):
+        sim, fabric, a, b = pair()
+        remove_tag = b.add_receive_interposer(lambda src, m: m + "-tagged")
+        b.add_receive_interposer(lambda src, m: m + "-seen")
+        remove_tag()
+        a.execute_now(a.send, b.address, "x")
+        sim.run()
+        assert b.seen == ["x-seen"]
+
+    def test_remover_called_twice_is_a_noop(self):
+        sim, fabric, a, b = pair()
+        remove = b.add_receive_interposer(lambda src, m: None)
+        b.add_receive_interposer(lambda src, m: m + "-kept")
+        remove()
+        remove()
+        a.execute_now(a.send, b.address, "x")
+        sim.run()
+        assert b.seen == ["x-kept"]
+
+    def test_send_interposer_on_plain_endpoint(self):
+        sim, fabric, a, b = pair()
+        remove = a.add_send_interposer(
+            lambda dst, m: None if m == "drop" else (dst, m)
+        )
+        a.execute_now(a.send_all, [b.address], "drop")
+        a.execute_now(a.send, b.address, "x")
+        sim.run()
+        assert b.seen == [(b.address, "x")]
+        assert a.messages_sent == 1
+        remove()
+        a.execute_now(a.send, b.address, "y")
+        sim.run()
+        assert b.seen[-1] == "y"

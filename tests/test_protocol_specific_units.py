@@ -1,10 +1,11 @@
 """Protocol-specific unit behaviours: Zyzzyva history chains and
 fill-hole, HotStuff quorum certificates, NeoBFT state sync, PBFT
-checkpoints."""
+checkpoints, unreplicated at-most-once."""
 
 import pytest
 
 from repro.faults.network import drop_fraction_for
+from repro.protocols.messages import ClientRequest, authenticate_request
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim.clock import ms
 
@@ -186,3 +187,21 @@ class TestPbftCheckpoints:
         cluster, _ = run_cluster("pbft", clients=4, duration=ms(15))
         digests = {r.app.digest() for r in cluster.replicas}
         assert len(digests) == 1
+
+
+class TestUnreplicated:
+    def test_stale_request_not_reexecuted(self):
+        cluster, _ = run_cluster("unreplicated", clients=1, duration=ms(2))
+        server, client = cluster.replicas[0], cluster.clients[0]
+        assert client.completions > 1
+        executed = server.ops_executed
+        stale = authenticate_request(
+            client.pairwise,
+            client.address,
+            client.group.replica_addrs,
+            ClientRequest(client.address, 1, b"stale"),
+            client.crypto.mac,
+        )
+        client.execute_now(client.send, server.address, stale)
+        cluster.sim.run_for(ms(1))
+        assert server.ops_executed == executed
