@@ -37,7 +37,7 @@ from repro.net.packet import GroupAddress
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 from repro.switchfab.fpga import FpgaCoprocessor
-from repro.switchfab.hmac_pipeline import FoldedHmacPipeline, TagScheme
+from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
 
 SWITCH_IDENTITY_BASE = 1_000_000
 
@@ -66,7 +66,6 @@ class AomConfigService(Endpoint):
         cost_model: Optional[CostModel] = None,
         failover_threshold_f: int = 1,
         reconfig_delay_ns: int = ms(60),
-        tag_scheme: Optional[TagScheme] = None,
         fpga_kwargs: Optional[dict] = None,
         hmac_kwargs: Optional[dict] = None,
     ):
@@ -75,7 +74,6 @@ class AomConfigService(Endpoint):
         self.authority = authority
         self.failover_threshold_f = failover_threshold_f
         self.reconfig_delay_ns = reconfig_delay_ns
-        self.tag_scheme = tag_scheme or TagScheme()
         self.fpga_kwargs = fpga_kwargs or {}
         self.hmac_kwargs = hmac_kwargs or {}
         self._groups: Dict[int, GroupState] = {}
@@ -135,7 +133,6 @@ class AomConfigService(Endpoint):
             }
             hmac_pipeline = FoldedHmacPipeline(
                 receiver_keys=[(rid, state.hmac_keys[rid]) for rid in state.receiver_ids],
-                tag_scheme=self.tag_scheme,
                 **self.hmac_kwargs,
             )
         else:
@@ -171,7 +168,6 @@ class AomConfigService(Endpoint):
                 variant=state.config.variant,
                 receiver_ids=state.receiver_ids,
                 hmac_key=state.hmac_keys.get(rid, b""),
-                tag_scheme=self.tag_scheme.name,
             )
             lib = self._receiver_libs.get((group_id, rid))
             if lib is not None:

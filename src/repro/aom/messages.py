@@ -13,12 +13,13 @@ authentication property NeoBFT's gap and view-change protocols rely on.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional, Tuple
 
 from repro.crypto.backend import Signature
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 from repro.switchfab.fpga import ChainedToken
 from repro.switchfab.hmac_pipeline import PartialVector
@@ -29,6 +30,28 @@ class AuthVariant(str, Enum):
 
     HMAC = "hm"
     PUBKEY = "pk"
+
+
+_SEQUENCE_EPOCH = struct.Struct(">qq").pack
+
+
+def header_digest(group_id: int, epoch: int, sequence: int, digest: bytes, prev: bytes) -> bytes:
+    """D_i: the per-packet content digest the pk hash chain links (§4.4).
+
+    Covers epoch, sequence, payload digest, and (for pk tokens) the
+    previous packet's digest, so a signature over D_i transitively
+    authenticates the entire unsigned run before it.
+    """
+    return fields_digest(group_id, epoch, sequence, digest, prev)
+
+
+def auth_input(digest: bytes, sequence: int, epoch: int) -> bytes:
+    """The bytes the switch authenticates: digest || sequence (§4.1).
+
+    The epoch follows, so a tag from one sequencer epoch never verifies
+    in another.
+    """
+    return digest + _SEQUENCE_EPOCH(sequence, epoch)
 
 
 class NetworkFaultModel(str, Enum):
@@ -61,24 +84,13 @@ class AomPacket:
     auth: Any  # PartialVector (hm) or ChainedToken (pk)
 
     def header_digest(self) -> bytes:
-        """D_i: the per-packet content digest the pk hash chain links.
-
-        Covers epoch, sequence, payload digest, and (for pk tokens) the
-        previous packet's digest, so a signature over D_i transitively
-        authenticates the entire unsigned run before it.
-        """
+        """D_i of this packet; see :func:`header_digest`."""
         prev = self.auth.prev_digest if isinstance(self.auth, ChainedToken) else b""
-        return digest_concat(
-            digest_int(self.group_id),
-            digest_int(self.epoch),
-            digest_int(self.sequence),
-            self.digest,
-            prev,
-        )
+        return header_digest(self.group_id, self.epoch, self.sequence, self.digest, prev)
 
     def auth_input(self) -> bytes:
-        """The bytes the switch authenticates: digest || sequence (§4.1)."""
-        return self.digest + digest_int(self.sequence) + digest_int(self.epoch)
+        """The bytes the switch authenticates; see :func:`auth_input`."""
+        return auth_input(self.digest, self.sequence, self.epoch)
 
 
 @dataclass(frozen=True)
@@ -94,13 +106,8 @@ class Confirm:
 
     def signed_body(self) -> bytes:
         """Canonical bytes the authenticator covers."""
-        return digest_concat(
-            b"confirm",
-            digest_int(self.group_id),
-            digest_int(self.epoch),
-            digest_int(self.sequence),
-            self.digest,
-            digest_int(self.replica),
+        return fields_digest(
+            b"confirm", self.group_id, self.epoch, self.sequence, self.digest, self.replica
         )
 
 
@@ -148,18 +155,12 @@ class OrderingCertificate:
 
     def auth_input(self) -> bytes:
         """Same input the switch authenticated for this sequence number."""
-        return self.digest + digest_int(self.sequence) + digest_int(self.epoch)
+        return auth_input(self.digest, self.sequence, self.epoch)
 
     def header_digest(self) -> bytes:
         """D_i of the certified packet (recomputed from certificate fields)."""
         prev = self.pk_prev_digest if self.variant == AuthVariant.PUBKEY else b""
-        return digest_concat(
-            digest_int(self.group_id),
-            digest_int(self.epoch),
-            digest_int(self.sequence),
-            self.digest,
-            prev,
-        )
+        return header_digest(self.group_id, self.epoch, self.sequence, self.digest, prev)
 
     def wire_size(self) -> int:
         size = 8 * 4 + len(self.digest) + 64  # header fields + payload est.
@@ -190,7 +191,6 @@ class EpochConfig:
     variant: AuthVariant
     receiver_ids: Tuple[int, ...]
     hmac_key: bytes = b""  # this receiver's key with the switch (hm only)
-    tag_scheme: str = "fast"  # which tag function the switch computes
 
 
 @dataclass(frozen=True)

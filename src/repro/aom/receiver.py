@@ -31,9 +31,10 @@ from repro.aom.messages import (
     NetworkFaultModel,
     OrderingCertificate,
     PkProof,
+    header_digest,
 )
 from repro.crypto.backend import CryptoContext
-from repro.crypto.hmacvec import HmacVector, PairwiseKeys
+from repro.crypto.hmacvec import HmacVector, PairwiseKeys, sim_mac
 from repro.sim.clock import us
 from repro.switchfab.fpga import ChainedToken
 from repro.switchfab.hmac_pipeline import PartialVector
@@ -101,7 +102,6 @@ class AomReceiverLib:
 
         self.epoch = 0
         self.epoch_config: Optional[EpochConfig] = None
-        self._tag_scheme = None  # installed with the epoch config
         self._reset_epoch_state()
         self.delivered_count = 0
         self.dropped_count = 0
@@ -136,9 +136,6 @@ class AomReceiverLib:
             return
         self.epoch = epoch_config.epoch
         self.epoch_config = epoch_config
-        from repro.switchfab.hmac_pipeline import TagScheme
-
-        self._tag_scheme = TagScheme(epoch_config.tag_scheme)
         self.epoch_installed_ns = self.host.sim.now
         self._reset_epoch_state()
 
@@ -191,10 +188,9 @@ class AomReceiverLib:
                 self._dropped.add(missing)
 
     def _verify_switch_tag(self, auth_input: bytes, tag: bytes) -> bool:
-        """Check my HMAC-vector entry under the switch's tag scheme."""
+        """Check my HMAC-vector entry against the switch's tag."""
         self.crypto.bill(self.crypto.cost.hmac_ns)
-        expected = self._tag_scheme.tag(self.epoch_config.hmac_key, auth_input)
-        return expected == tag
+        return sim_mac(self.epoch_config.hmac_key, auth_input) == tag
 
     def _hm_complete(self, seq: int) -> bool:
         partials = self._hm_partials.get(seq)
@@ -603,15 +599,9 @@ class AomReceiverLib:
                 return False
             if link.prev_digest != current:
                 return False
-            from repro.crypto.digests import digest_concat, digest_int
-
             self.crypto.digest(b"")
-            current = digest_concat(
-                digest_int(cert.group_id),
-                digest_int(cert.epoch),
-                digest_int(link.sequence),
-                link.payload_digest,
-                link.prev_digest,
+            current = header_digest(
+                cert.group_id, cert.epoch, link.sequence, link.payload_digest, link.prev_digest
             )
             sequence = link.sequence
         return self.crypto.verify(proof.signature, current)

@@ -11,6 +11,7 @@ Two uses in the paper map here:
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import List, Optional
 
 DIGEST_SIZE = 32
@@ -91,23 +92,26 @@ class HashChain:
         return current == head
 
 
-def digest_concat(*parts: bytes) -> bytes:
-    """Digest of length-prefixed concatenation (unambiguous encoding)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(len(part).to_bytes(4, "big"))
-        hasher.update(part)
-    return hasher.digest()
+_INT_FIELD = struct.Struct(">Iq").pack
+_LENGTH = struct.Struct(">I").pack
 
 
-def digest_int(value: int, width: int = 8) -> bytes:
-    """Fixed-width big-endian (signed) int encoding, for digest inputs."""
-    return value.to_bytes(width, "big", signed=True)
+def fields_digest(*fields) -> bytes:
+    """SHA-256 over an unambiguous encoding of message fields.
 
-
-def combine_seq_and_digest(sequence: int, message_digest: bytes) -> bytes:
-    """The authenticator input defined in §4.1: digest || sequence number."""
-    return message_digest + digest_int(sequence)
+    Every field is length-prefixed with a 4-byte big-endian length. An
+    ``int`` (``IntEnum`` included) is 8 bytes big-endian signed, so it
+    raises outside the signed 64-bit range; any other field is its bytes.
+    Every signed body, canonical form and header digest is built here.
+    """
+    parts = []
+    for field in fields:
+        if isinstance(field, int):
+            parts.append(_INT_FIELD(8, field))
+        else:
+            parts.append(_LENGTH(len(field)))
+            parts.append(field)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 class Checkpointer:

@@ -31,7 +31,7 @@ def sim_mac(key: bytes, data: bytes) -> bytes:
     """A 4-byte keyed BLAKE2s tag, computed in C.
 
     The simulation's MAC for replica and client messages and for the
-    switch's ``fast`` tag scheme. All the protocols need is that a tag
+    switch's HMAC vectors. All the protocols need is that a tag
     verifies if and only if it was made with that key over those bytes;
     the simulated cost of a HalfSipHash is charged separately by the
     cost model.

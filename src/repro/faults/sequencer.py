@@ -84,13 +84,12 @@ def equivocate_sequencer(
         forged = replace(packet, digest=substitute)
         if forge_auth and sequencer.hmac_pipeline is not None:
             partial = packet.auth
-            scheme = sequencer.hmac_pipeline.tag_scheme
             subgroup = sequencer.hmac_pipeline.subgroups[partial.subgroup_index]
-            from repro.crypto.hmacvec import HmacVector
+            from repro.crypto.hmacvec import HmacVector, sim_mac
             from repro.switchfab.hmac_pipeline import PartialVector
 
             forged_vector = HmacVector(
-                tuple((rid, scheme.tag(key, forged.auth_input())) for rid, key in subgroup)
+                tuple((rid, sim_mac(key, forged.auth_input())) for rid, key in subgroup)
             )
             forged = replace(
                 forged,

@@ -30,6 +30,7 @@ from repro.crypto.digests import chain_step
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols.hotstuff.messages import Phase, Proposal as HotStuffProposal
 from repro.protocols.hotstuff.messages import Vote as HotStuffVote
+from repro.protocols.messages import batch_digest
 from repro.protocols.minbft.replica import MinBftCommit, MinBftPrepare
 from repro.protocols.neobft.messages import (
     GapCommit,
@@ -41,7 +42,6 @@ from repro.protocols.pbft.messages import (
     Commit as PbftCommit,
     PrePrepare,
     Prepare as PbftPrepare,
-    batch_digest,
 )
 from repro.protocols.zyzzyva.messages import LocalCommit, OrderReq
 

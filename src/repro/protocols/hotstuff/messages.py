@@ -15,7 +15,7 @@ from enum import IntEnum
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.protocols.messages import ClientRequest
 
 
@@ -43,9 +43,7 @@ class QuorumCert:
 
 def qc_body(view: int, seq: int, phase: int, digest: bytes) -> bytes:
     """Canonical bytes a phase's shares/QC cover."""
-    return digest_concat(
-        b"hotstuff-qc", digest_int(view), digest_int(seq), digest_int(phase), digest
-    )
+    return fields_digest(b"hotstuff-qc", view, seq, phase, digest)
 
 
 @dataclass(frozen=True)

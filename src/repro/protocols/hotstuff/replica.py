@@ -14,8 +14,7 @@ from repro.protocols.hotstuff.messages import (
     Vote,
     qc_body,
 )
-from repro.protocols.messages import ClientRequest
-from repro.protocols.pbft.messages import batch_digest
+from repro.protocols.messages import ClientRequest, batch_digest
 
 
 class _BatchState:

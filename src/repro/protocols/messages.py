@@ -10,9 +10,9 @@ be able to verify (view changes, gap agreement evidence, confirms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 
 
@@ -27,9 +27,7 @@ class ClientRequest:
 
     def canonical(self) -> bytes:
         """Stable byte form the digest/MACs cover."""
-        return digest_concat(
-            b"request", digest_int(self.client_id), digest_int(self.request_id), self.op
-        )
+        return fields_digest(b"request", self.client_id, self.request_id, self.op)
 
     def key(self) -> tuple:
         """Identity for at-most-once deduplication."""
@@ -40,6 +38,11 @@ class ClientRequest:
         if self.auth is not None:
             size += self.auth.wire_size()
         return size
+
+
+def batch_digest(batch: Tuple[ClientRequest, ...]) -> bytes:
+    """Digest of an ordered request batch."""
+    return fields_digest(b"batch", *[r.canonical() for r in batch])
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,13 @@ class ClientReply:
 
     def signed_body(self) -> bytes:
         """Bytes the reply MAC covers."""
-        return digest_concat(
+        return fields_digest(
             b"reply",
-            digest_int(self.view),
-            digest_int(self.replica),
-            digest_int(self.request_id),
+            self.view,
+            self.replica,
+            self.request_id,
             self.result,
-            digest_int(self.slot),
+            self.slot,
             self.log_hash,
         )
 

@@ -6,12 +6,11 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
-from repro.protocols.messages import ClientRequest
+from repro.protocols.messages import ClientRequest, batch_digest
 from repro.protocols.minbft.usig import Usig, UsigCertificate
-from repro.protocols.pbft.messages import batch_digest
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,11 @@ class MinBftCommit:
 
     def wire_size(self) -> int:
         return 48 + self.primary_ui.wire_size() + self.ui.wire_size()
+
+
+def commit_ui_body(digest: bytes, primary_counter: int) -> bytes:
+    """What a commit's own UI binds: the batch digest and the primary's counter."""
+    return fields_digest(b"commit", digest, primary_counter)
 
 
 class _PrepareState:
@@ -145,9 +149,7 @@ class MinBftReplica(BaseReplica):
         state.prepare = prepare
         bisect.insort(self._order, counter)
         self._see_primary_counter(counter)
-        my_ui = self.usig.create_ui(
-            digest_concat(b"commit", prepare.digest, digest_int(prepare.ui.counter))
-        )
+        my_ui = self.usig.create_ui(commit_ui_body(prepare.digest, prepare.ui.counter))
         commit = MinBftCommit(self.view, self.address, prepare.digest, prepare.ui, my_ui)
         self.broadcast(commit)
         self._record_commit(commit)
@@ -157,8 +159,7 @@ class MinBftReplica(BaseReplica):
         if commit.view != self.view or commit.replica != src:
             return
         if not self.usig.verify_ui(
-            commit.ui,
-            digest_concat(b"commit", commit.digest, digest_int(commit.primary_ui.counter)),
+            commit.ui, commit_ui_body(commit.digest, commit.primary_ui.counter)
         ):
             return
         self._record_commit(commit)

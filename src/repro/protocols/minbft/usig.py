@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.backend import CryptoContext, KeyAuthority, Signature
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 
 #: Offset separating USIG enclave identities from replica identities in
 #: the key authority's namespace.
@@ -41,9 +41,7 @@ class UsigCertificate:
 
 
 def _ui_body(replica: int, counter: int, message_digest: bytes) -> bytes:
-    return digest_concat(
-        b"usig", digest_int(replica), digest_int(counter), message_digest
-    )
+    return fields_digest(b"usig", replica, counter, message_digest)
 
 
 class Usig:

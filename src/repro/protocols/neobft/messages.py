@@ -10,12 +10,15 @@ certificates, view-change bundles).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.aom.messages import OrderingCertificate
 from repro.crypto.backend import Signature
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
+
+_VIEW_ID = struct.Struct(">qq").pack
 
 
 @dataclass(frozen=True, order=True)
@@ -34,7 +37,7 @@ class ViewId:
         return ViewId(self.epoch + 1, self.leader_num + 1)
 
     def encode(self) -> bytes:
-        return digest_int(self.epoch) + digest_int(self.leader_num)
+        return _VIEW_ID(self.epoch, self.leader_num)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class GapFind:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(b"gap-find", self.view.encode(), digest_int(self.slot))
+        return fields_digest(b"gap-find", self.view.encode(), self.slot)
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,7 @@ class GapDrop:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"gap-drop", self.view.encode(), digest_int(self.replica), digest_int(self.slot)
-        )
+        return fields_digest(b"gap-drop", self.view.encode(), self.replica, self.slot)
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,7 @@ class GapDecision:
 
     def signed_body(self) -> bytes:
         kind = b"drop" if self.is_drop else b"recv"
-        return digest_concat(
-            b"gap-decision", self.view.encode(), digest_int(self.slot), kind
-        )
+        return fields_digest(b"gap-decision", self.view.encode(), self.slot, kind)
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,11 @@ class GapPrepare:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"gap-prepare",
             self.view.encode(),
-            digest_int(self.replica),
-            digest_int(self.slot),
+            self.replica,
+            self.slot,
             b"drop" if self.is_drop else b"recv",
         )
 
@@ -150,11 +149,11 @@ class GapCommit:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"gap-commit",
             self.view.encode(),
-            digest_int(self.replica),
-            digest_int(self.slot),
+            self.replica,
+            self.slot,
             b"drop" if self.is_drop else b"recv",
         )
 
@@ -169,9 +168,7 @@ class EpochStart:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"epoch-start", digest_int(self.epoch), digest_int(self.slot), digest_int(self.replica)
-        )
+        return fields_digest(b"epoch-start", self.epoch, self.slot, self.replica)
 
 
 @dataclass(frozen=True)
@@ -214,15 +211,14 @@ class ViewChange:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        body = digest_concat(
+        return fields_digest(
             b"view-change",
             self.view.encode(),
             self.new_view.encode(),
-            digest_int(self.replica),
-            digest_int(len(self.log)),
+            self.replica,
+            len(self.log),
             *[entry.digest for entry in self.log],
         )
-        return body
 
     def wire_size(self) -> int:
         return 64 + sum(e.wire_size() for e in self.log) + sum(
@@ -239,11 +235,7 @@ class ViewStart:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"view-start",
-            self.new_view.encode(),
-            digest_int(len(self.view_changes)),
-        )
+        return fields_digest(b"view-start", self.new_view.encode(), len(self.view_changes))
 
     def wire_size(self) -> int:
         return 48 + sum(vc.wire_size() for vc in self.view_changes)
@@ -286,12 +278,12 @@ class SyncMessage:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"sync",
             self.view.encode(),
-            digest_int(self.replica),
-            digest_int(self.slot),
-            digest_int(len(self.drops)),
+            self.replica,
+            self.slot,
+            len(self.drops),
         )
 
     def wire_size(self) -> int:

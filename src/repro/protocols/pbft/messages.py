@@ -10,14 +10,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols.messages import ClientRequest
-
-
-def batch_digest(batch: Tuple[ClientRequest, ...]) -> bytes:
-    """Digest of an ordered request batch."""
-    return digest_concat(b"batch", *[r.canonical() for r in batch])
 
 
 @dataclass(frozen=True)
@@ -31,9 +26,7 @@ class PrePrepare:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"pre-prepare", digest_int(self.view), digest_int(self.seq), self.digest
-        )
+        return fields_digest(b"pre-prepare", self.view, self.seq, self.digest)
 
     def wire_size(self) -> int:
         size = 52 + sum(r.wire_size() for r in self.batch)
@@ -53,13 +46,7 @@ class Prepare:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"prepare",
-            digest_int(self.view),
-            digest_int(self.seq),
-            self.digest,
-            digest_int(self.replica),
-        )
+        return fields_digest(b"prepare", self.view, self.seq, self.digest, self.replica)
 
 
 @dataclass(frozen=True)
@@ -73,13 +60,7 @@ class Commit:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"commit",
-            digest_int(self.view),
-            digest_int(self.seq),
-            self.digest,
-            digest_int(self.replica),
-        )
+        return fields_digest(b"commit", self.view, self.seq, self.digest, self.replica)
 
 
 @dataclass(frozen=True)
@@ -92,9 +73,7 @@ class Checkpoint:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"checkpoint", digest_int(self.seq), self.state_digest, digest_int(self.replica)
-        )
+        return fields_digest(b"checkpoint", self.seq, self.state_digest, self.replica)
 
 
 @dataclass(frozen=True)
@@ -121,11 +100,11 @@ class PbftViewChange:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"pbft-view-change",
-            digest_int(self.new_view),
-            digest_int(self.last_stable),
-            digest_int(self.replica),
+            self.new_view,
+            self.last_stable,
+            self.replica,
             *[p.digest for p in self.prepared],
         )
 
@@ -143,10 +122,10 @@ class PbftNewView:
     signature: Optional[Signature] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"pbft-new-view",
-            digest_int(self.new_view),
-            digest_int(len(self.view_changes)),
+            self.new_view,
+            len(self.view_changes),
             *[p.digest for p in self.pre_prepares],
         )
 

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
-from repro.protocols.messages import ClientRequest
+from repro.protocols.messages import ClientRequest, batch_digest
 from repro.protocols.pbft.messages import (
     Checkpoint,
     Commit,
@@ -16,7 +16,6 @@ from repro.protocols.pbft.messages import (
     PrePrepare,
     Prepare,
     PreparedProof,
-    batch_digest,
 )
 from repro.sim.clock import ms
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.crypto.digests import digest_concat, digest_int
+from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols.messages import ClientRequest
 
@@ -22,13 +22,7 @@ class OrderReq:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
-            b"order-req",
-            digest_int(self.view),
-            digest_int(self.seq),
-            self.history,
-            self.digest,
-        )
+        return fields_digest(b"order-req", self.view, self.seq, self.history, self.digest)
 
     def wire_size(self) -> int:
         size = 84 + sum(r.wire_size() for r in self.batch)
@@ -68,11 +62,11 @@ class ClientCommit:
     auth: Optional[HmacVector] = None
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"client-commit",
-            digest_int(self.client_id),
-            digest_int(self.request_id),
-            digest_int(self.seq),
+            self.client_id,
+            self.request_id,
+            self.seq,
             self.history,
         )
 
@@ -92,13 +86,13 @@ class LocalCommit:
     auth_tag: bytes = b""
 
     def signed_body(self) -> bytes:
-        return digest_concat(
+        return fields_digest(
             b"local-commit",
-            digest_int(self.view),
-            digest_int(self.replica),
-            digest_int(self.client_id),
-            digest_int(self.request_id),
-            digest_int(self.seq),
+            self.view,
+            self.replica,
+            self.client_id,
+            self.request_id,
+            self.seq,
         )
 
 

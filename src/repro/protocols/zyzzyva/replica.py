@@ -8,8 +8,7 @@ from repro.crypto.digests import chain_step
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import TimedBatcher
 from repro.protocols.log import EntryKind, LogEntry
-from repro.protocols.messages import ClientRequest
-from repro.protocols.pbft.messages import batch_digest
+from repro.protocols.messages import ClientRequest, batch_digest
 from repro.protocols.zyzzyva.messages import (
     ClientCommit,
     FillHole,

@@ -29,7 +29,6 @@ from repro.net.fabric import Fabric
 from repro.net.profiles import NetworkProfile
 from repro.protocols.base import BaseClient, BaseReplica, ReplicaGroup
 from repro.sim.engine import Simulator
-from repro.switchfab.hmac_pipeline import TagScheme
 
 NEOBFT_PROTOCOLS = ("neobft-hm", "neobft-pk", "neobft-bn")
 ALL_PROTOCOLS = NEOBFT_PROTOCOLS + (
@@ -54,7 +53,6 @@ class ClusterOptions:
     profile: Optional[NetworkProfile] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
     crypto_backend: str = "fast"
-    tag_scheme: str = "fast"
     batch_size: Optional[int] = None  # None = per-protocol default
     group_id: int = 1
     replica_kwargs: Dict = field(default_factory=dict)
@@ -177,7 +175,6 @@ def _build_neobft(options, sim, fabric, authority, pairwise, n) -> Cluster:
         authority,
         cost_model=options.cost_model,
         failover_threshold_f=options.f,
-        tag_scheme=TagScheme(options.tag_scheme),
         **options.aom_kwargs,
     )
     service.attach(fabric)

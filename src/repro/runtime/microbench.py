@@ -22,7 +22,7 @@ from repro.net.packet import GroupAddress, Packet
 from repro.sim import Histogram, Simulator
 from repro.sim.clock import MICROSECOND, us
 from repro.switchfab.fpga import FpgaCoprocessor
-from repro.switchfab.hmac_pipeline import FoldedHmacPipeline, TagScheme
+from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
 
 
 class _EgressProbe:
@@ -78,7 +78,6 @@ def build_sequencer(
     probe: _EgressProbe,
     variant: AuthVariant,
     group_size: int,
-    tag_scheme: str = "fast",
     fpga_kwargs: Optional[dict] = None,
     hmac_kwargs: Optional[dict] = None,
 ) -> AomSequencer:
@@ -91,9 +90,7 @@ def build_sequencer(
     fpga = None
     if variant == AuthVariant.HMAC:
         keys = [(rid, bytes([rid % 251]) * 8) for rid in receivers]
-        hmac_pipeline = FoldedHmacPipeline(
-            keys, tag_scheme=TagScheme(tag_scheme), **(hmac_kwargs or {})
-        )
+        hmac_pipeline = FoldedHmacPipeline(keys, **(hmac_kwargs or {}))
     else:
         fpga = FpgaCoprocessor(
             sign=lambda data: authority.sign_as(identity, data), **(fpga_kwargs or {})

@@ -23,7 +23,7 @@ from repro.switchfab.tofino import (
     TableSpec,
     TOFINO_BUDGET,
 )
-from repro.switchfab.hmac_pipeline import FoldedHmacPipeline, TagScheme
+from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
 from repro.switchfab.fpga import FpgaCoprocessor, FPGA_BUDGET
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "ResourceReport",
     "TOFINO_BUDGET",
     "TableSpec",
-    "TagScheme",
 ]

@@ -24,10 +24,9 @@ Timing consequences (these produce Figures 4 and 6):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hmacvec import HmacVector, sim_mac
-from repro.crypto.siphash import halfsiphash24
 from repro.sim.clock import ns, us
 from repro.switchfab.tofino import (
     PacketEngine,
@@ -41,32 +40,6 @@ SUBGROUP_SIZE = 4
 LOOPBACK_PORTS = 16
 UNROLLED_PASSES = 12
 MAX_RECEIVERS = SUBGROUP_SIZE * LOOPBACK_PORTS  # 64, as in the paper
-
-
-class TagScheme:
-    """How HMAC tag bytes are actually produced.
-
-    ``real`` computes genuine HalfSipHash-2-4 (used by the crypto and aom
-    test suites); ``fast`` computes a keyed BLAKE2s tag in C
-    (:func:`repro.crypto.hmacvec.sim_mac`) with identical interface and
-    security semantics inside the simulation. Simulated timing is
-    identical either way — timing comes from the engine model, never from
-    wall-clock.
-    """
-
-    def __init__(self, name: str = "fast"):
-        if name not in ("real", "fast"):
-            raise ValueError(f"unknown tag scheme {name!r}")
-        self.name = name
-        self._fn: Callable[[bytes, bytes], bytes]
-        if name == "real":
-            self._fn = lambda key, data: halfsiphash24(key[:8].ljust(8, b"\x00"), data)
-        else:
-            self._fn = sim_mac
-
-    def tag(self, key: bytes, data: bytes) -> bytes:
-        """Compute one 4-byte tag."""
-        return self._fn(key, data)
 
 
 @dataclass
@@ -87,7 +60,6 @@ class FoldedHmacPipeline:
     def __init__(
         self,
         receiver_keys: Sequence[Tuple[int, bytes]],
-        tag_scheme: Optional[TagScheme] = None,
         base_vector_rate_pps: float = 77_000_000.0,
         pass_latency_ns: int = ns(750),
         max_queue_ns: int = us(400),
@@ -99,7 +71,6 @@ class FoldedHmacPipeline:
                 f"group of {len(receiver_keys)} exceeds the {MAX_RECEIVERS}-receiver "
                 f"limit of the {LOOPBACK_PORTS}-loopback-port design"
             )
-        self.tag_scheme = tag_scheme or TagScheme()
         self.subgroups: List[List[Tuple[int, bytes]]] = [
             list(receiver_keys[i : i + SUBGROUP_SIZE])
             for i in range(0, len(receiver_keys), SUBGROUP_SIZE)
@@ -129,9 +100,7 @@ class FoldedHmacPipeline:
         partials = []
         for index, subgroup in enumerate(self.subgroups):
             vector = HmacVector(
-                tuple(
-                    (rid, self.tag_scheme.tag(key, auth_input)) for rid, key in subgroup
-                )
+                tuple((rid, sim_mac(key, auth_input)) for rid, key in subgroup)
             )
             partials.append(
                 PartialVector(

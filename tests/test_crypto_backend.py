@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.aom.messages import auth_input
 from repro.crypto.backend import (
     CryptoContext,
     FastBackend,
@@ -15,8 +16,7 @@ from repro.crypto.digests import (
     Checkpointer,
     HashChain,
     chain_step,
-    combine_seq_and_digest,
-    digest_concat,
+    fields_digest,
     sha256_digest,
 )
 from repro.crypto.hmacvec import (
@@ -224,14 +224,17 @@ class TestHashChain:
 
 
 class TestDigestHelpers:
-    def test_digest_concat_is_injective_on_boundaries(self):
-        assert digest_concat(b"ab", b"c") != digest_concat(b"a", b"bc")
+    def test_fields_digest_is_injective_on_boundaries(self):
+        assert fields_digest(b"ab", b"c") != fields_digest(b"a", b"bc")
+        assert fields_digest(b"a", b"") != fields_digest(b"", b"a")
+        assert fields_digest(1, 2) != fields_digest(2, 1)
 
-    def test_combine_seq_and_digest(self):
+    def test_auth_input_separates_sequence_and_epoch(self):
         digest = sha256_digest(b"payload")
-        combined = combine_seq_and_digest(7, digest)
+        combined = auth_input(digest, 7, 1)
         assert combined.startswith(digest)
-        assert combined != combine_seq_and_digest(8, digest)
+        assert combined != auth_input(digest, 8, 1)
+        assert combined != auth_input(digest, 7, 2)
 
     def test_checkpointer_folds(self):
         cp = Checkpointer()

@@ -1,8 +1,7 @@
-"""Unit tests for protocol building blocks: log, quorums, batching,
+"""Unit tests for protocol building blocks: log, batching,
 client message authentication."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crypto.digests import sha256_digest
 from repro.crypto.hmacvec import PairwiseKeys
@@ -15,7 +14,6 @@ from repro.protocols.messages import (
     authenticate_request,
     verify_request,
 )
-from repro.protocols.quorum import QuorumSet, QuorumTracker
 
 
 def request_entry(tag: bytes) -> LogEntry:
@@ -180,56 +178,6 @@ class TestReplicaLogRelease:
         # At and above the mark, rollback and truncation still work.
         log.truncate(5)
         assert len(log) == 5 and log.exec_cursor == 5
-
-
-class TestQuorumTracker:
-    def test_threshold_reached_once(self):
-        tracker = QuorumTracker(3)
-        assert tracker.add(1, "k", "m1") is None
-        assert tracker.add(2, "k", "m2") is None
-        quorum = tracker.add(3, "k", "m3")
-        assert sorted(quorum) == ["m1", "m2", "m3"]
-        assert tracker.add(4, "k", "m4") is None  # fires only once
-        assert tracker.complete
-
-    def test_duplicate_sender_ignored(self):
-        tracker = QuorumTracker(2)
-        tracker.add(1, "k", "m")
-        assert tracker.add(1, "k", "m-again") is None
-        assert tracker.count("k") == 1
-
-    def test_conflicting_keys_tracked_separately(self):
-        tracker = QuorumTracker(2)
-        tracker.add(1, "a", "x")
-        tracker.add(2, "b", "y")
-        assert not tracker.complete
-        assert tracker.best()[1] == 1
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            QuorumTracker(0)
-
-    def test_quorum_set_keying(self):
-        quorums = QuorumSet(2)
-        assert quorums.add("slot-1", 1, "k", "m") is None
-        assert quorums.add("slot-2", 1, "k", "m") is None  # distinct slot
-        assert quorums.add("slot-1", 2, "k", "m2") is not None
-        quorums.discard("slot-1")
-        assert "slot-1" not in quorums
-        assert "slot-2" in quorums
-
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)), max_size=60))
-    def test_quorum_requires_distinct_senders(self, votes):
-        tracker = QuorumTracker(4)
-        fired = []
-        for sender, key in votes:
-            result = tracker.add(sender, key, (sender, key))
-            if result is not None:
-                fired.append(result)
-        assert len(fired) <= 1
-        for quorum in fired:
-            senders = [s for s, _ in quorum]
-            assert len(set(senders)) == len(senders) >= 4
 
 
 class TestBatcher:

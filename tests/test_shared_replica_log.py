@@ -10,7 +10,8 @@ from repro.protocols.adversary import mutate_proposal
 from repro.protocols.hotstuff.messages import Proposal
 from repro.protocols.log import EntryKind, LogEntry
 from repro.protocols.minbft.replica import MinBftCommit, MinBftPrepare
-from repro.protocols.pbft.messages import PbftNewView, PbftViewChange, PreparedProof, batch_digest
+from repro.protocols.messages import batch_digest
+from repro.protocols.pbft.messages import PbftNewView, PbftViewChange, PreparedProof
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim.clock import ms
 

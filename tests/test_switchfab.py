@@ -10,7 +10,6 @@ from repro.switchfab.hmac_pipeline import (
     FoldedHmacPipeline,
     MAX_RECEIVERS,
     SUBGROUP_SIZE,
-    TagScheme,
 )
 from repro.switchfab.tofino import (
     PacketEngine,
@@ -124,18 +123,6 @@ class TestFoldedHmacPipeline:
     def test_fixed_latency_is_12_passes(self):
         pipeline = FoldedHmacPipeline(self.keys(4), pass_latency_ns=750)
         assert pipeline.engine.pipeline_latency_ns == 12 * 750
-
-    def test_real_scheme_matches_halfsiphash(self):
-        from repro.crypto.siphash import halfsiphash24
-
-        pipeline = FoldedHmacPipeline(self.keys(4), tag_scheme=TagScheme("real"))
-        _, partials = pipeline.authenticate(0, b"data")
-        tag = partials[0].vector.tag_for(2)
-        assert tag == halfsiphash24(bytes([2]) * 8, b"data")
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            TagScheme("md5")
 
     def test_resource_report_matches_paper_table2(self):
         pipeline = FoldedHmacPipeline(self.keys(4))
