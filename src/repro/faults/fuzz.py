@@ -26,10 +26,7 @@ surviving violation is a real bug.
 from __future__ import annotations
 
 import json
-import pickle
 import re
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -584,24 +581,13 @@ def fuzz_sweep(
     as serial: each point is a pure function of ``(protocol, seed,
     budget)``. Falls back to serial when a pool cannot be spawned.
     """
+    from repro.runtime.parallel import parallel_map
+
     budget = budget or FuzzBudget()
     points = [(protocol, seed) for protocol in protocols for seed in seeds]
-    if workers > 1:
-        try:
-            pickle.dumps(budget)
-        except Exception:
-            workers = 1
-    if workers <= 1 or len(points) <= 1:
-        results = [_fuzz_point(p, s, budget, shrink) for p, s in points]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-                futures = [
-                    pool.submit(_fuzz_point, p, s, budget, shrink) for p, s in points
-                ]
-                results = [future.result() for future in futures]
-        except (OSError, PermissionError, BrokenProcessPool):
-            results = [_fuzz_point(p, s, budget, shrink) for p, s in points]
+    results = parallel_map(
+        _fuzz_point, [(p, s, budget, shrink) for p, s in points], workers
+    )
 
     report = FuzzReport(cases_run=len(points))
     for ops, checks, finding in results:

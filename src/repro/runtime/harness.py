@@ -9,14 +9,12 @@ the determinism test suite asserts result-for-result equality.
 
 from __future__ import annotations
 
-import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
+from repro.runtime.parallel import parallel_map
 from repro.sim.clock import MICROSECOND, ms, secs
 from repro.sim.monitor import Histogram, RateMeter
 from repro.telemetry import MetricsSnapshot, Telemetry
@@ -206,30 +204,19 @@ def run_points(
     """Measure every options point, optionally in parallel worker processes.
 
     Points are independent by construction — each gets its own simulator
-    seeded from its own options — so farming them to a
-    ``ProcessPoolExecutor`` returns bit-identical ``RunResult`` objects in
-    the same order as serial execution. Falls back to serial when the
-    workload cannot be shipped to workers (unpicklable ``next_op``
-    closures) or the platform cannot spawn a pool (sandboxes without
-    process primitives); results are identical either way.
+    seeded from its own options — so farming them to worker processes
+    (:func:`~repro.runtime.parallel.parallel_map`) returns bit-identical
+    ``RunResult`` objects in the same order as serial execution. Falls
+    back to serial when the workload cannot be shipped to workers
+    (unpicklable ``next_op`` closures) or the platform cannot spawn a pool
+    (sandboxes without process primitives); results are identical either
+    way.
     """
-    points = list(points)
-    if workers > 1 and len(points) > 1:
-        try:
-            pickle.dumps((points, next_op))
-        except Exception:
-            workers = 1  # closure-bound workload: measure in-process
-    if workers <= 1 or len(points) <= 1:
-        return [_run_point(options, warmup_ns, duration_ns, next_op) for options in points]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            futures = [
-                pool.submit(_run_point, options, warmup_ns, duration_ns, next_op)
-                for options in points
-            ]
-            return [future.result() for future in futures]
-    except (OSError, PermissionError, BrokenProcessPool):
-        return [_run_point(options, warmup_ns, duration_ns, next_op) for options in points]
+    return parallel_map(
+        _run_point,
+        [(options, warmup_ns, duration_ns, next_op) for options in points],
+        workers,
+    )
 
 
 def run_sweep(

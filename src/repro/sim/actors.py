@@ -142,15 +142,18 @@ class Actor:
         """Submit a handler invocation to this actor's CPU."""
 
         def job() -> int:
+            # A handler that submits to its own actor while another core is
+            # free runs the new job inline, inside its own body: save the
+            # outer handler's charge and effects and restore them after.
+            outer = (self._charged, self._in_handler, self._pending_effects)
             self._charged = 0
             self._in_handler = True
+            self._pending_effects = effects = []
             try:
                 handler(*args)
+                cost = self._charged
             finally:
-                self._in_handler = False
-            cost = self._charged
-            effects = self._pending_effects
-            self._pending_effects = []
+                self._charged, self._in_handler, self._pending_effects = outer
             if effects:
                 completion = self.sim.now + cost
                 for effect, effect_args in effects:

@@ -8,7 +8,8 @@ makes whole-system runs bit-for-bit reproducible for a given seed.
 Heap entries are ``(time, seq, handle)`` tuples: ``seq`` is unique, so the
 heap orders entries by comparing two ints in C and never compares the
 handles themselves. Cancellation is lazy: a cancelled handle stays in the
-heap and is skipped when it reaches the top.
+heap and is skipped when it reaches the top, but it drops its callback and
+arguments at cancel, so a dead entry holds nothing else alive.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ class EventHandle:
     Cancellation is lazy: the heap entry stays in place but is skipped
     when popped. This keeps ``cancel`` O(1), which matters because
     protocols cancel far more timers (retransmit timers that never fire)
-    than they let expire.
+    than they let expire. ``cancel`` releases the callback and arguments,
+    so what they reference (a client's retry timer, say) is freed at once
+    rather than when the entry finally reaches the top of the heap.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -40,7 +43,8 @@ class EventHandle:
     ):
         self.time = time
         self.seq = seq
-        self.callback = callback
+        # None once cancelled (see cancel).
+        self.callback: Optional[Callable[..., None]] = callback
         self.args = args
         self.cancelled = False
         # The owning simulator while the event is pending; cleared when
@@ -57,6 +61,8 @@ class EventHandle:
             return
         self._sim = None
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -122,7 +122,7 @@ def _sabotage_agreement(cluster, spec, rng):
     return lambda: None
 
 
-@pytest.fixture
+@pytest.fixture(scope="class")
 def sabotage_kind():
     register_fault_kind(
         "sabotage_agreement",
@@ -151,22 +151,27 @@ def _noisy_bad_case():
     return fuzz.FuzzCase(protocol="neobft-hm", seed=3, events=noise + (bomb,))
 
 
+@pytest.fixture(scope="class")
+def shrunk_bad_case(sabotage_kind):
+    """The noisy bad case, its outcome and its shrink, computed once."""
+    case = _noisy_bad_case()
+    outcome = fuzz.run_case(case)
+    shrunk, stats = fuzz.shrink_case(case, outcome.violation)
+    return case, outcome, shrunk, stats
+
+
 class TestShrinking:
-    def test_shrinks_to_minimal_reproducer(self, sabotage_kind):
-        case = _noisy_bad_case()
-        outcome = fuzz.run_case(case)
+    def test_shrinks_to_minimal_reproducer(self, shrunk_bad_case):
+        _, outcome, shrunk, stats = shrunk_bad_case
         assert outcome.violation is not None
         assert outcome.violation.kind == "invariant"
-        shrunk, stats = fuzz.shrink_case(case, outcome.violation)
         assert len(shrunk.events) <= 3
         assert any(e.spec.kind == "sabotage_agreement" for e in shrunk.events)
         assert stats.original_events == 5
         assert stats.oracle_runs <= 64
 
-    def test_shrunk_artifact_replays_same_violation(self, sabotage_kind, tmp_path):
-        case = _noisy_bad_case()
-        outcome = fuzz.run_case(case)
-        shrunk, _ = fuzz.shrink_case(case, outcome.violation)
+    def test_shrunk_artifact_replays_same_violation(self, shrunk_bad_case, tmp_path):
+        case, outcome, shrunk, _ = shrunk_bad_case
         path = fuzz.save_artifact(tmp_path / "repro.json", shrunk, outcome.violation)
         # The artifact is self-describing JSON...
         payload = json.loads(path.read_text())

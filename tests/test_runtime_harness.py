@@ -1,6 +1,12 @@
 """Tests for the cluster builder and measurement harness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.runtime.cluster import ALL_PROTOCOLS
@@ -130,3 +136,22 @@ class TestParallelSweep:
         results = run_sweep(base, [1, 2], workers=4, next_op=next_op, **self.WINDOW)
         assert len(results) == 2
         assert state["n"] > 0  # ran in-process
+
+    def test_serial_import_leaves_the_process_pool_unloaded(self):
+        # Only a sweep that starts a pool pays for concurrent.futures and
+        # multiprocessing; importing the runtime and faults layers does not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.runtime, repro.faults; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

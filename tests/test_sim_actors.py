@@ -166,3 +166,25 @@ class TestDeferredEffects:
         sim.run()
         assert worker.handled == [("timer", us(5))]
         assert worker.cpu.busy_ns == us(3)
+
+    def test_nested_job_on_free_core_keeps_outer_charge_and_effects(self):
+        # On a 2-core actor a handler's own execute_now runs inline on the
+        # free core; the outer handler's charge and effects must survive it.
+        sim = Simulator()
+        worker = Worker(sim, cores=2)
+        fired = []
+
+        def inner():
+            worker.charge(5)
+
+        def outer():
+            worker.charge(100)
+            worker.execute_now(inner)
+            worker.charge(100)
+            worker.defer(lambda: fired.append(sim.now))
+
+        worker.execute(0, outer)
+        sim.run()
+        assert worker.cpu.busy_ns == 205
+        assert worker.cpu.jobs_run == 2
+        assert fired == [200]

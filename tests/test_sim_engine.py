@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine: ordering, cancellation, bounds."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Simulator
@@ -103,6 +106,29 @@ class TestCancellation:
         sim.run()
         assert fired == ["keep"]
         assert keep.time == 10
+
+
+    def test_cancel_releases_callback_and_args(self):
+        class Payload:
+            def fire(self, *args):
+                fired.append(args)
+
+        sim = Simulator()
+        fired = []
+        target, arg = Payload(), Payload()
+        refs = (weakref.ref(target), weakref.ref(arg))
+        handle = sim.schedule(ms(1), target.fire, arg)
+        sim.schedule(ms(2), lambda: None)
+        del target, arg
+        handle.cancel()
+        gc.collect()
+        # Collected while the dead entry is still in the heap, before its
+        # deadline.
+        assert sim.now == 0
+        assert [ref() for ref in refs] == [None, None]
+        sim.run()
+        assert sim.now == ms(2)
+        assert fired == []
 
 
 class TestRunBounds:
