@@ -35,11 +35,17 @@ def measure(protocol):
     measurement = Measurement(cluster, warmup_ns=ms(2), duration_ns=ms(7))
     run = measurement.run()
     completed = max(1, run.completions)
+    metrics = run.metrics
     per_replica_msgs = [
-        (r.messages_received + r.messages_sent) / completed for r in cluster.replicas
+        (metrics.counter("net.received", host=r.name) + metrics.counter("net.sent", host=r.name))
+        / completed
+        for r in cluster.replicas
     ]
+    replica_nodes = {("node", r.name) for r in cluster.replicas}
     auth_ops = sum(
-        sum(r.crypto.op_counts.values()) for r in cluster.replicas
+        value
+        for (name, labels), value in metrics.counters.items()
+        if name.startswith("crypto.") and replica_nodes.intersection(labels)
     ) / completed
     return {
         "bottleneck_msgs_per_req": max(per_replica_msgs),

@@ -32,6 +32,7 @@ from repro.telemetry.exporters import (
     load_chrome_trace,
     load_spans_jsonl,
     parse_prometheus,
+    to_prometheus,
 )
 from repro.telemetry.report import format_decomposition
 
@@ -56,12 +57,12 @@ def run_instrumented():
     return plain, traced, telemetry
 
 
-def export_artifacts(telemetry):
+def export_artifacts(traced, telemetry):
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(TRACE_PATH, "w") as handle:
         telemetry.write_chrome_trace(handle)
     with open(PROM_PATH, "w") as handle:
-        telemetry.write_prometheus(handle)
+        handle.write(to_prometheus(traced.metrics))
     with open(SPANS_PATH, "w") as handle:
         telemetry.write_spans_jsonl(handle)
 
@@ -73,7 +74,7 @@ def check(plain, traced, telemetry):
     assert traced.completions == plain.completions
     assert traced.latency._samples == plain.latency._samples
 
-    export_artifacts(telemetry)
+    export_artifacts(traced, telemetry)
 
     # (a) the Chrome trace loads and every event sits on a named thread.
     with open(TRACE_PATH) as handle:

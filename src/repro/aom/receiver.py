@@ -103,10 +103,19 @@ class AomReceiverLib:
         self.epoch = 0
         self.epoch_config: Optional[EpochConfig] = None
         self._reset_epoch_state()
-        self.delivered_count = 0
-        self.dropped_count = 0
+        self._counters = host.sim.metrics.scope("aom.", node=host.name)
         self.last_delivery_ns = 0  # when the head last advanced
         self.epoch_installed_ns = 0  # when the current epoch was installed
+
+    # Read-only views of the registry for benchmarks/scorecard/workloads.py.
+
+    @property
+    def delivered_count(self) -> int:
+        return self._counters.get("delivered")
+
+    @property
+    def dropped_count(self) -> int:
+        return self._counters.get("drop_notifications")
 
     # -------------------------------------------------------------- epochs
 
@@ -468,17 +477,14 @@ class AomReceiverLib:
 
     def _flush(self) -> None:
         progressed = False
-        tel = self.host.sim.telemetry
         while True:
             seq = self.next_seq
             if seq in self._dropped:
                 self._dropped.discard(seq)
                 self._cleanup(seq)
                 self.next_seq += 1
-                self.dropped_count += 1
+                self._counters.add("drop_notifications")
                 progressed = True
-                if tel is not None:
-                    tel.metrics.inc("aom.drop_notifications", node=self.host.name)
                 for hook in self.on_deliver:
                     hook(self.epoch, seq, "drop-notification")
                 self.deliver_drop(
@@ -496,10 +502,8 @@ class AomReceiverLib:
             del self._authentic[seq]
             self._cleanup(seq)
             self.next_seq += 1
-            self.delivered_count += 1
+            self._counters.add("delivered")
             progressed = True
-            if tel is not None:
-                tel.metrics.inc("aom.delivered", node=self.host.name)
             for hook in self.on_deliver:
                 hook(cert.epoch, cert.sequence, "certificate")
             self.deliver(cert)

@@ -35,7 +35,7 @@ class AomSenderLib:
         self.group_id = group_id
         self.crypto = crypto
         self.group_address = GroupAddress(group_id)
-        self.sent_count = 0
+        self._counters = host.sim.metrics.scope("aom.", node=host.name)
 
     def multicast(self, payload: Any, canonical_bytes: bytes) -> bytes:
         """Send ``payload`` to the group; returns the payload digest.
@@ -48,9 +48,6 @@ class AomSenderLib:
         datagram = AomSendDatagram(
             group_id=self.group_id, digest=digest, payload=payload
         )
-        tel = self.host.sim.telemetry
-        if tel is not None:
-            tel.metrics.inc("aom.multicasts", node=self.host.name)
+        self._counters.add("multicasts")
         self.host.send(self.group_address, datagram)
-        self.sent_count += 1
         return digest

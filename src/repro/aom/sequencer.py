@@ -67,8 +67,13 @@ class AomSequencer(GroupHandler):
         self._last_header_digest = b"\x00" * 32  # pk hash-chain register
         self.failed = False
         self.equivocation: Optional[EquivocationBehavior] = None
-        self.packets_sequenced = 0
-        self.packets_dropped_in_switch = 0
+        # aom.sequenced{group}: every stamped packet, tail-dropped or not;
+        # switch.tail_drops{group}: every packet the switch dropped.
+        self._aom_counters = sim.metrics.scope("aom.", group=group_id)
+        self._switch_counters = sim.metrics.scope("switch.", group=group_id)
+        self._signature_counters = {
+            kind: sim.metrics.scope("switch.", kind=kind) for kind in ("issued", "skipped")
+        }
 
     # ------------------------------------------------------------ fault API
 
@@ -85,8 +90,7 @@ class AomSequencer(GroupHandler):
     def on_packet(self, packet: Packet, arrival: int) -> None:
         """Fabric callback at switch ingress for group-addressed traffic."""
         if self.failed:
-            self.packets_dropped_in_switch += 1
-            self._count_tail_drop()
+            self._switch_counters.add("tail_drops")
             return
         message = packet.message
         digest = getattr(message, "digest", None)
@@ -96,7 +100,7 @@ class AomSequencer(GroupHandler):
             # the raw bytes. Use a zero digest; receivers will reject.
             digest = b"\x00" * 32
         self.sequence += 1
-        self.packets_sequenced += 1
+        self._aom_counters.add("sequenced")
         sequence = self.sequence
         if self.variant == AuthVariant.HMAC:
             self._authenticate_hm(arrival, sequence, digest, payload, packet.src)
@@ -119,14 +123,12 @@ class AomSequencer(GroupHandler):
         )
         result = self.hmac_pipeline.authenticate(arrival, base.auth_input())
         if result is None:
-            self.packets_dropped_in_switch += 1
-            self._count_tail_drop()
+            self._switch_counters.add("tail_drops")
             return
         done, partials = result
         tel = self.sim.telemetry
         if tel is not None:
-            tel.metrics.inc("aom.sequenced", group=str(self.group_id))
-            tel.metrics.set_gauge(
+            self.sim.metrics.set_gauge(
                 "switch.hmac_stage_busy",
                 self.hmac_pipeline.engine.backlog_ns(arrival),
                 stage="pipe1",
@@ -157,30 +159,21 @@ class AomSequencer(GroupHandler):
         # resulting sequence gap is what receivers' drop detection keys on.
         self._last_header_digest = header_digest
         if result is None:
-            self.packets_dropped_in_switch += 1
-            self._count_tail_drop()
+            self._switch_counters.add("tail_drops")
             return
         done, token = result
+        kind = "issued" if token.signature is not None else "skipped"
+        self._signature_counters[kind].add("fpga_signatures")
         tel = self.sim.telemetry
         if tel is not None:
-            tel.metrics.inc("aom.sequenced", group=str(self.group_id))
-            tel.metrics.set_gauge("switch.fpga_stock", self.fpga.stock_level(arrival))
-            kind = "issued" if token.signature is not None else "skipped"
-            tel.metrics.inc("switch.fpga_signatures", kind=kind)
+            self.sim.metrics.set_gauge("switch.fpga_stock", self.fpga.stock_level(arrival))
             self._record_sequence_span(tel, arrival, done, sequence, payload)
         packet = dc_replace_packet(provisional, auth=token)
         self.sim.schedule_at(done, self._multicast_many, [packet])
 
     # ----------------------------------------------------------- telemetry
 
-    def _count_tail_drop(self) -> None:
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.metrics.inc("switch.tail_drops", group=str(self.group_id))
-
     def _record_sequence_span(self, tel, arrival: int, done: int, sequence: int, payload) -> None:
-        if tel.spans is None:
-            return
         trace = _trace_key_of(payload)
         if trace is not None:
             tel.spans.record(

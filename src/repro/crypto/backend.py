@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.ecdsa import PrivateKey, PublicKey
 from repro.crypto.hmacvec import sim_mac
+from repro.sim.monitor import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,16 @@ class CryptoContext:
         self.authority = authority
         self.cost = cost_model
         self._charge = charge
-        # Operation counts, for authenticator-complexity measurements
-        # (Table 1): keys are 'sign', 'verify', 'mac', 'digest', 'share',
-        # 'combine'.
-        self.op_counts: Dict[str, int] = {}
+        # crypto.<op> counts, for authenticator-complexity measurements
+        # (Table 1): ops are 'sign', 'verify', 'mac', 'digest', 'share',
+        # 'combine'. Until bind(), they go to a registry of their own.
+        self.counters = MetricsRegistry().scope("crypto.")
         authority.register(node_id)
 
-    def _count(self, op: str) -> None:
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
+    @property
+    def op_counts(self) -> Mapping[str, int]:
+        """Read-only view of the registry for benchmarks/scorecard/workloads.py."""
+        return MappingProxyType(self.counters.counts)
 
     def _bill(self, amount: int) -> None:
         if self._charge is not None:
@@ -190,16 +194,18 @@ class CryptoContext:
         """Charge arbitrary crypto work (e.g. switch-scheme tag checks)."""
         self._bill(amount)
 
-    def bind(self, charge) -> "CryptoContext":
-        """Attach an actor's charge function (done by the cluster builder)."""
-        self._charge = charge
+    def bind(self, host) -> "CryptoContext":
+        """Charge ``host``'s CPU and count into its simulator's registry
+        (done by the cluster builder)."""
+        self._charge = host.charge
+        self.counters = host.sim.metrics.scope("crypto.", node=host.name)
         return self
 
     # ------------------------------------------------------------ digests
 
     def digest(self, data: bytes) -> bytes:
         """SHA-256 with cost accounting."""
-        self._count("digest")
+        self.counters.add("digest")
         self._bill(self.cost.sha256_ns)
         return sha256_digest(data)
 
@@ -207,13 +213,13 @@ class CryptoContext:
 
     def sign(self, data: bytes) -> Signature:
         """Sign as this node; charges the public-key signing cost."""
-        self._count("sign")
+        self.counters.add("sign")
         self._bill(self.cost.ecdsa_sign_ns)
         return self.authority.sign_as(self.node_id, data)
 
     def verify(self, signature: Signature, data: bytes) -> bool:
         """Verify any node's signature; charges the verification cost."""
-        self._count("verify")
+        self.counters.add("verify")
         self._bill(self.cost.ecdsa_verify_ns)
         return self.authority.verify(signature, data)
 
@@ -221,13 +227,13 @@ class CryptoContext:
 
     def threshold_share(self, data: bytes) -> Signature:
         """Produce this node's threshold-signature share."""
-        self._count("share")
+        self.counters.add("share")
         self._bill(self.cost.threshold_share_sign_ns)
         return self.authority.sign_as(self.node_id, b"share/" + data)
 
     def verify_threshold_share(self, share: Signature, data: bytes) -> bool:
         """Verify another node's share."""
-        self._count("verify")
+        self.counters.add("verify")
         self._bill(self.cost.threshold_share_verify_ns)
         return self.authority.verify(share, b"share/" + data)
 
@@ -239,13 +245,13 @@ class CryptoContext:
         calls this (Byzantine QC forgery is out of scope for the baseline
         performance comparison — NeoBFT's own safety never relies on it).
         """
-        self._count("combine")
+        self.counters.add("combine")
         self._bill(self.cost.threshold_combine_ns)
         return self.authority.sign_as(self.node_id, b"combined/" + data)
 
     def verify_threshold_combined(self, combined: Signature, data: bytes) -> bool:
         """Verify a combined quorum-certificate signature."""
-        self._count("verify")
+        self.counters.add("verify")
         self._bill(self.cost.threshold_verify_ns)
         return self.authority.verify(combined, b"combined/" + data)
 
@@ -253,7 +259,7 @@ class CryptoContext:
 
     def mac(self, key: bytes, data: bytes) -> bytes:
         """Symmetric MAC tag with cost accounting."""
-        self._count("mac")
+        self.counters.add("mac")
         self._bill(self.cost.hmac_ns)
         return sim_mac(key, data)
 

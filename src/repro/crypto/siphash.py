@@ -167,10 +167,12 @@ def halfsiphash24(key: bytes, data: bytes) -> bytes:
 class HalfSipHashState:
     """Incremental HalfSipHash-2-4, one 4-byte message word per absorb step.
 
-    The simulated switch pipeline (:mod:`repro.switchfab.hmac_engine`)
-    drives this state machine pass-by-pass exactly as the hardware does:
-    each pipeline pass performs a bounded number of SipRounds, so the number
-    of :meth:`rounds_executed` maps directly onto pipeline passes.
+    It steps the hash the way the switch hardware does, pass by pass: each
+    pipeline pass performs a bounded number of SipRounds, so the number of
+    :meth:`rounds_executed` maps directly onto pipeline passes. The
+    simulated switch (:mod:`repro.switchfab.hmac_pipeline`) models only
+    those passes' timing and resources; its tags come from
+    :func:`repro.crypto.hmacvec.sim_mac`.
     """
 
     C_ROUNDS = 2

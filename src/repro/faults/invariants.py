@@ -164,6 +164,6 @@ class InvariantMonitor:
         if trace is None or self._sim is None:
             return ""
         tel = getattr(self._sim, "telemetry", None)
-        if tel is None or tel.spans is None:
+        if tel is None:
             return ""
         return tel.spans.render_trace(trace)

@@ -15,7 +15,8 @@ to two checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from itertools import accumulate
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -31,6 +32,27 @@ class CounterOp:
 
 class LinearizabilityViolation(AssertionError):
     """The observed history admits no legal sequential witness."""
+
+
+def first_real_time_inversion(
+    ordered: List[CounterOp],
+) -> Optional[Tuple[CounterOp, CounterOp]]:
+    """The first ``(earlier, later)`` pair ordered against real time.
+
+    ``later`` sits after ``earlier`` in ``ordered`` but completed before
+    ``earlier`` was invoked. The pair is the one a scan over every pair
+    finds first: the lowest ``earlier`` index, then the lowest ``later``
+    index after it. One suffix-minimum pass keeps this O(n).
+    """
+    # suffix_min[i]: the earliest completion among ordered[i:].
+    suffix_min = list(accumulate((op.completed_at for op in reversed(ordered)), min))
+    suffix_min.reverse()
+    for index, earlier in enumerate(ordered[:-1]):
+        if suffix_min[index + 1] < earlier.invoked_at:
+            return earlier, next(
+                op for op in ordered[index + 1 :] if op.completed_at < earlier.invoked_at
+            )
+    return None
 
 
 def check_counter_history(history: List[CounterOp]) -> List[CounterOp]:
@@ -57,15 +79,14 @@ def check_counter_history(history: List[CounterOp]) -> List[CounterOp]:
                 f"result {op.result} inconsistent with prefix sum {running} "
                 f"({op.client})"
             )
-    # Real-time order.
-    for earlier_index, earlier in enumerate(ordered):
-        for later in ordered[earlier_index + 1 :]:
-            if later.completed_at < earlier.invoked_at:
-                raise LinearizabilityViolation(
-                    f"{later.client} completed at {later.completed_at} before "
-                    f"{earlier.client} was invoked at {earlier.invoked_at}, "
-                    "but is ordered after it"
-                )
+    inversion = first_real_time_inversion(ordered)
+    if inversion is not None:
+        earlier, later = inversion
+        raise LinearizabilityViolation(
+            f"{later.client} completed at {later.completed_at} before "
+            f"{earlier.client} was invoked at {earlier.invoked_at}, "
+            "but is ordered after it"
+        )
     return ordered
 
 
@@ -87,11 +108,11 @@ def check_counter_history_with_gaps(history: List[CounterOp]) -> List[CounterOp]
                 f"counter regressed: {op.result} after {previous}"
             )
         previous = op.result
-    for earlier_index, earlier in enumerate(ordered):
-        for later in ordered[earlier_index + 1 :]:
-            if later.completed_at < earlier.invoked_at:
-                raise LinearizabilityViolation(
-                    f"real-time order violated between {earlier.client} and "
-                    f"{later.client}"
-                )
+    inversion = first_real_time_inversion(ordered)
+    if inversion is not None:
+        earlier, later = inversion
+        raise LinearizabilityViolation(
+            f"real-time order violated between {earlier.client} and "
+            f"{later.client}"
+        )
     return ordered

@@ -23,7 +23,7 @@ from repro.net.fabric import EndpointPort, Fabric
 from repro.net.packet import Address, Packet, wire_size_of
 from repro.sim.actors import Actor
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter
+from repro.sim.monitor import CounterScope
 
 #: ``(peer, message) -> replacement message, or None to drop it``.
 Interposer = Callable[[int, object], Optional[object]]
@@ -43,9 +43,10 @@ class Endpoint(Actor, EndpointPort):
         self.cost = cost_model or DEFAULT_COST_MODEL
         self.fabric: Optional[Fabric] = None
         self.address: Optional[int] = None
-        self.messages_sent = 0
-        self.messages_received = 0
-        self.metrics = Counter()
+        # net.sent{host} and net.received{host}.
+        self._net = sim.metrics.scope("net.", host=name)
+        # Protocol and fault-behaviour event counts of this host.
+        self.metrics = self._event_counters()
         self._send_interposers: List[Interposer] = []
         self._receive_interposers: List[Interposer] = []
 
@@ -54,6 +55,15 @@ class Endpoint(Actor, EndpointPort):
         self.fabric = fabric
         self.address = fabric.attach(self, address)
         return self.address
+
+    def _event_counters(self) -> CounterScope:
+        """``endpoint.*{node}``; replicas publish theirs as ``replica.*``."""
+        return self.sim.metrics.scope("endpoint.", node=self.name)
+
+    @property
+    def messages_sent(self) -> int:
+        """Read-only view of the registry for benchmarks/scorecard/workloads.py."""
+        return self._net.get("sent")
 
     # -------------------------------------------------------- interposition
 
@@ -84,7 +94,7 @@ class Endpoint(Actor, EndpointPort):
             message = interposer(dst, message)
             if message is None:
                 return
-        self.messages_sent += 1
+        self._net.add("sent")
         size = wire_size_of(message)
         self.charge(self.cost.message_cost(size))
         self.defer(self.fabric.transmit, self.address, dst, message, size)
@@ -98,16 +108,14 @@ class Endpoint(Actor, EndpointPort):
 
     def receive(self, packet: Packet, arrival: int) -> None:
         """Fabric callback: queue the packet on this endpoint's CPU."""
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.metrics.set_gauge(
+        if self.sim.telemetry is not None:
+            self.sim.metrics.set_gauge(
                 "net.queue_depth", self.cpu.queue_depth, host=self.name
             )
-            tel.metrics.inc("net.received", host=self.name)
         self.execute(arrival, self._handle_packet, packet)
 
     def _handle_packet(self, packet: Packet) -> None:
-        self.messages_received += 1
+        self._net.add("received")
         self.charge(self.cost.message_cost(packet.size))
         message = packet.message
         for interposer in self._receive_interposers:

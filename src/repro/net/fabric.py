@@ -17,11 +17,14 @@ import random
 from repro.net.packet import Address, GroupAddress, Packet
 from repro.net.profiles import NetworkProfile
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter
 from repro.telemetry.spans import trace_key_of as _trace_key_of
 
 DropFilter = Callable[[Packet], bool]
 PacketPredicate = Callable[[Packet], bool]
+
+#: The ``event`` label values of the ``net.packets`` counter.
+PACKET_EVENTS = ("sent", "delivered", "lost", "partitioned", "filtered",
+                 "unroutable", "reordered", "duplicated")
 
 
 def _validate_fraction(fraction: float, what: str) -> None:
@@ -105,7 +108,10 @@ class Fabric:
     def __init__(self, sim: Simulator, profile: Optional[NetworkProfile] = None):
         self.sim = sim
         self.profile = profile or NetworkProfile()
-        self.counters = Counter()
+        # net.packets{event=...}: one counter scope per packet outcome.
+        self._packets = {
+            event: sim.metrics.scope("net.", event=event) for event in PACKET_EVENTS
+        }
         self._endpoints: Dict[int, "EndpointPort"] = {}
         self._groups: Dict[GroupAddress, GroupHandler] = {}
         self._next_address = 0
@@ -126,11 +132,8 @@ class Fabric:
         self._loss_rng = sim.streams.get("net.loss")
 
     def _count(self, event: str) -> None:
-        """Bump a packet-outcome counter, mirrored into telemetry."""
-        self.counters.add(event)
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.metrics.inc("net.packets", event=event)
+        """Count one packet outcome as ``net.packets{event=...}``."""
+        self._packets[event].add("packets")
 
     # ----------------------------------------------------------- topology
 
@@ -241,7 +244,7 @@ class Fabric:
                 + self._jitter()
             )
             tel = self.sim.telemetry
-            if tel is not None and tel.spans is not None:
+            if tel is not None:
                 trace = _trace_key_of(message)
                 if trace is not None:
                     tel.spans.record(
@@ -315,7 +318,7 @@ class Fabric:
                 self._prune_fifo_watermarks()
         self._count("delivered")
         tel = self.sim.telemetry
-        if tel is not None and tel.spans is not None and isinstance(packet.dst, int):
+        if tel is not None and isinstance(packet.dst, int):
             trace = _trace_key_of(packet.message, dst=packet.dst)
             if trace is not None:
                 tel.spans.record(

@@ -91,12 +91,17 @@ class BaseReplica(Endpoint):
         self.pairwise = pairwise
         self.view = 0
         self.log = ReplicaLog()
-        self.ops_executed = 0
         # At-most-once: latest (request_id, reply) per client.
         self.client_table: Dict[int, Tuple[int, Optional[ClientReply]]] = {}
         # Requests admitted to ordering but not yet executed (leader-side
         # duplicate suppression against client retries).
         self._inflight_requests: set = set()
+
+    def _event_counters(self):
+        """``replica.*{node, proto}``: protocol events (``gaps_started``,
+        ``views_entered``, ...), fault events (``crash_dropped``, ...) and
+        ``ops_executed``."""
+        return self.sim.metrics.scope("replica.", node=self.name, proto=self.PROTO)
 
     # ------------------------------------------------------------- identity
 
@@ -244,7 +249,6 @@ class BaseReplica(Endpoint):
                 self.send(request.client_id, cached)
             return False
         result, _ = self.execute_op(request.op, request=request)
-        self.ops_executed += 1
         self.client_table[request.client_id] = (request.request_id, None)
         reply = ClientReply(
             view=self.view,
@@ -267,11 +271,11 @@ class BaseReplica(Endpoint):
         interval lands on that request's span tree.
         """
         cost = self.app.exec_cost_ns(op, self.cost)
+        self.metrics.add("ops_executed")
         tel = self.sim.telemetry
         if tel is not None:
-            tel.metrics.inc("replica.ops_executed", proto=self.PROTO)
-            tel.metrics.observe("replica.exec_cost_ns", cost, proto=self.PROTO)
-            if tel.spans is not None and request is not None:
+            self.sim.metrics.observe("replica.exec_cost_ns", cost, proto=self.PROTO)
+            if request is not None:
                 # The handler's charged work so far positions this op's
                 # slice inside the CPU completion interval.
                 start = self.sim.now + self._charged
@@ -382,7 +386,7 @@ class BaseClient(Endpoint):
         self._retry_attempt = 0
         self._first_reply_ns = None
         tel = self.sim.telemetry
-        if tel is not None and tel.spans is not None:
+        if tel is not None:
             self._root_span = tel.spans.begin(
                 (self.address, request.request_id),
                 "request", "client", self.name, self.sim.now,
@@ -430,7 +434,7 @@ class BaseClient(Endpoint):
         self._retry_attempt = 0
         self.aborted += 1
         tel = self.sim.telemetry
-        if tel is not None and tel.spans is not None:
+        if tel is not None:
             tel.spans.finish(self._root_span, self.sim.now, aborted=True)
         self._root_span = None
         self._first_reply_ns = None
@@ -484,17 +488,16 @@ class BaseClient(Endpoint):
         self.completions += 1
         tel = self.sim.telemetry
         if tel is not None:
-            tel.metrics.observe("client.request_latency_ns", latency, proto=self.PROTO)
-            if tel.spans is not None:
-                trace = (self.address, request_id)
-                if self._first_reply_ns is not None and self.sim.now > self._first_reply_ns:
-                    # From the first accepted reply until quorum: the tail
-                    # of the reply collection the client is waiting on.
-                    tel.spans.record(
-                        trace, "client.quorum_wait", "quorum", self.name,
-                        self._first_reply_ns, self.sim.now,
-                    )
-                tel.spans.finish(self._root_span, self.sim.now)
+            self.sim.metrics.observe("client.request_latency_ns", latency, proto=self.PROTO)
+            trace = (self.address, request_id)
+            if self._first_reply_ns is not None and self.sim.now > self._first_reply_ns:
+                # From the first accepted reply until quorum: the tail
+                # of the reply collection the client is waiting on.
+                tel.spans.record(
+                    trace, "client.quorum_wait", "quorum", self.name,
+                    self._first_reply_ns, self.sim.now,
+                )
+            tel.spans.finish(self._root_span, self.sim.now)
         self._root_span = None
         self._first_reply_ns = None
         if self.on_complete is not None:

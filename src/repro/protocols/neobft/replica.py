@@ -304,7 +304,6 @@ class NeoBftReplica(BaseReplica):
                 self.log.mark_executed(slot, b"", None)
                 return
             result, app_undo = self.execute_op(request.op, request=request)
-            self.ops_executed += 1
             self.client_table[request.client_id] = (request.request_id, None)
 
             def undo(app_undo=app_undo, client_id=request.client_id, prev=prev_table):

@@ -97,12 +97,6 @@ class Cluster:
         """The replica with logical id ``replica_id``."""
         return self.replicas[replica_id]
 
-    def context_for(self, endpoint) -> CryptoContext:
-        """A crypto context bound to an endpoint's identity and CPU."""
-        return CryptoContext(
-            endpoint.address, self.authority, self.options.cost_model, endpoint.charge
-        )
-
 
 def build_cluster(options: ClusterOptions) -> Cluster:
     """Assemble a system for ``options.protocol``."""
@@ -127,7 +121,8 @@ def _make_group(n: int, f: int) -> ReplicaGroup:
 
 
 def _bind_crypto(endpoint, authority, cost_model) -> CryptoContext:
-    return CryptoContext(endpoint.address, authority, cost_model, endpoint.charge)
+    """A crypto context for an attached endpoint's identity, CPU and counters."""
+    return CryptoContext(endpoint.address, authority, cost_model).bind(endpoint)
 
 
 # ---------------------------------------------------------------------------

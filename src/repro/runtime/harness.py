@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
 from repro.runtime.parallel import parallel_map
 from repro.sim.clock import MICROSECOND, ms, secs
-from repro.sim.monitor import Histogram, RateMeter
-from repro.telemetry import MetricsSnapshot, Telemetry
+from repro.sim.monitor import Histogram, MetricsSnapshot, RateMeter
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -31,9 +31,10 @@ class RunResult:
     completions: int
     retries: int
     aborted: int = 0  # requests given up after exhausting their retries
+    # replica.* counters summed over replicas, by bare name.
     replica_metrics: Dict[str, int] = field(default_factory=dict)
-    # End-of-run telemetry snapshot (None when the run had no telemetry).
-    metrics: Optional[MetricsSnapshot] = None
+    # End-of-run snapshot of the simulator's metrics registry.
+    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
     @property
     def median_latency_us(self) -> float:
@@ -91,7 +92,6 @@ class Measurement:
         self.cluster = cluster
         self.warmup_ns = warmup_ns
         self.duration_ns = duration_ns
-        self.telemetry = telemetry
         if telemetry is not None:
             cluster.sim.telemetry = telemetry
         self.drain_step_ns = drain_step_ns
@@ -132,7 +132,7 @@ class Measurement:
         self._drain()
         merged_metrics: Dict[str, int] = {}
         for replica in self.cluster.replicas:
-            for key, value in replica.metrics.as_dict().items():
+            for key, value in replica.metrics.counts.items():
                 merged_metrics[key] = merged_metrics.get(key, 0) + value
         return RunResult(
             protocol=self.cluster.options.protocol,
@@ -143,9 +143,7 @@ class Measurement:
             retries=sum(c.retries for c in self.cluster.clients),
             aborted=sum(c.aborted for c in self.cluster.clients),
             replica_metrics=merged_metrics,
-            metrics=(
-                self.telemetry.metrics.snapshot() if self.telemetry is not None else None
-            ),
+            metrics=sim.metrics.snapshot(),
         )
 
     def _drain(self) -> None:

@@ -169,7 +169,9 @@ def run_offered_load(
         offered_pps=offered_pps,
         delivered_pps=delivered_pps,
         latency=probe.latency,
-        switch_drops=sequencer.packets_dropped_in_switch,
+        switch_drops=sim.metrics.snapshot().counter(
+            "switch.tail_drops", group=sequencer.group_id
+        ),
     )
 
 

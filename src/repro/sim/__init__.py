@@ -5,7 +5,8 @@ reproduction runs on: a virtual clock measured in integer nanoseconds, an
 event heap with deterministic tie-breaking, actors with queued multi-core
 CPU models (so throughput saturation and latency inflation emerge from
 queueing rather than being scripted), seeded random streams, and statistics
-monitors for latency/throughput measurement.
+monitors for latency/throughput measurement, and the metrics registry
+every layer counts into.
 
 Nothing in here ever consults wall-clock time; simulations are fully
 reproducible given a seed.
@@ -24,15 +25,15 @@ from repro.sim.clock import (
 )
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.actors import Actor, Cpu
-from repro.sim.monitor import Counter, Histogram, RateMeter, TimeSeries
+from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter, TimeSeries
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
     "Actor",
-    "Counter",
     "Cpu",
     "EventHandle",
     "Histogram",
+    "MetricsRegistry",
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.sim.monitor import MetricsRegistry
 from repro.sim.randomness import RandomStreams
 
 
@@ -84,9 +85,9 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.streams = RandomStreams(seed)
-        # Optional repro.telemetry.Telemetry sink. Every instrumented
-        # layer reads this attribute and publishes only when it is set,
-        # so a run without telemetry pays one None check per hook.
+        self.metrics = MetricsRegistry()
+        # Optional repro.telemetry.Telemetry: spans, gauges and histograms
+        # are recorded only while it is set.
         self.telemetry = None
         self._heap: List[Tuple[int, int, EventHandle]] = []
         self._seq = 0
@@ -188,11 +189,10 @@ class Simulator:
             self._events_processed += 1
         if park and until is not None and self.now < until:
             self.now = until
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.set_gauge("sim.virtual_time_ns", self.now)
-            tel.metrics.set_gauge("sim.events_processed", self._events_processed)
-            tel.metrics.set_gauge("sim.pending_events", self._live)
+        if self.telemetry is not None:
+            self.metrics.set_gauge("sim.virtual_time_ns", self.now)
+            self.metrics.set_gauge("sim.events_processed", self._events_processed)
+            self.metrics.set_gauge("sim.pending_events", self._live)
         return processed
 
     def run_for(self, duration: int, max_events: Optional[int] = None) -> int:

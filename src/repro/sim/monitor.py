@@ -1,38 +1,17 @@
 """Measurement instruments for experiments.
 
 These are the objects the benchmark harness reads at the end of a run:
-latency histograms with exact percentiles, event counters, windowed
-throughput meters, and time series for failover timelines.
+latency histograms with exact percentiles, windowed throughput meters,
+time series for failover timelines, and the labeled metrics registry
+every layer counts into.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
-
-
-class Counter:
-    """A named bag of monotonically increasing integer counters."""
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        """Increment ``name`` by ``amount``."""
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str, default: int = 0) -> int:
-        """Current value of ``name`` (``default`` if never incremented)."""
-        return self._counts.get(name, default)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self._counts!r})"
-
 
 class Histogram:
     """Exact-sample histogram with percentile queries.
@@ -260,3 +239,129 @@ class TimeSeries:
             out.append((window_end, delta * 1e9 / (window_end - window_start)))
             window_start += window_ns
         return out
+
+
+# ------------------------------------------------------------------ metrics
+
+#: A fully-resolved instrument identity: (name, sorted (label, value) pairs).
+MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
+def metric_key(name: str, labels: Dict[str, str]) -> MetricKey:
+    """Canonical dictionary key for one instrument."""
+    return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+
+
+def format_key(key: MetricKey) -> str:
+    """Human-readable ``name{k=v,...}`` rendering."""
+    name, labels = key
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{inner}}}"
+
+
+class CounterScope:
+    """One owner's counters: every name under one prefix and label set.
+
+    ``add("sent")`` on the scope ``("net.", host="a")`` counts
+    ``net.sent{host=a}``. The labels were canonicalized once, when the
+    registry handed the scope out, so :meth:`add` is one dict update.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        self.counts: Dict[str, int] = {}
+
+    def add(self, name: str, amount: int = 1) -> None:
+        """Increment ``name`` by ``amount``."""
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + amount
+
+    def get(self, name: str) -> int:
+        """Current value of ``name`` (0 if never incremented)."""
+        return self.counts.get(name, 0)
+
+
+class MetricsRegistry:
+    """Every count, gauge and histogram of one run (``Simulator.metrics``).
+
+    Counters are always on. Gauges and histograms resolve their labels per
+    sample, so callers record them only while a ``Telemetry`` is attached.
+    Names carry their layer as a prefix (``sim.``, ``net.``, ``switch.``,
+    ``aom.``, ``crypto.``, ``replica.``, ``client.``). Recording never
+    touches the simulator, so it cannot perturb an execution.
+    """
+
+    def __init__(self):
+        self._scopes: Dict[MetricKey, CounterScope] = {}
+        self._gauges: Dict[MetricKey, float] = {}
+        self._histograms: Dict[MetricKey, Histogram] = {}
+
+    def scope(self, prefix: str, **labels: str) -> CounterScope:
+        """The counter scope for ``prefix`` and ``labels`` (shared by equal ones)."""
+        key = metric_key(prefix, labels)
+        scope = self._scopes.get(key)
+        if scope is None:
+            scope = self._scopes[key] = CounterScope()
+        return scope
+
+    def set_gauge(self, name: str, value: float, **labels: str) -> None:
+        """Set a gauge to its latest observed value."""
+        self._gauges[metric_key(name, labels)] = value
+
+    def observe(self, name: str, value: int, **labels: str) -> None:
+        """Record one histogram sample."""
+        key = metric_key(name, labels)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = Histogram(format_key(key))
+        hist.record(value)
+
+    def snapshot(self) -> "MetricsSnapshot":
+        """Immutable view of every instrument (histograms as summaries)."""
+        return MetricsSnapshot(
+            counters={
+                (prefix + name, labels): value
+                for (prefix, labels), scope in self._scopes.items()
+                for name, value in scope.counts.items()
+            },
+            gauges=dict(self._gauges),
+            histograms={
+                key: hist.summary() for key, hist in self._histograms.items() if len(hist)
+            },
+        )
+
+
+@dataclass
+class MetricsSnapshot:
+    """Point-in-time copy of a registry, attached to ``RunResult``."""
+
+    counters: Dict[MetricKey, float] = field(default_factory=dict)
+    gauges: Dict[MetricKey, float] = field(default_factory=dict)
+    # name -> Histogram.summary() dict (count/mean/p50/p99/p999/max/...)
+    histograms: Dict[MetricKey, Dict[str, float]] = field(default_factory=dict)
+
+    def counter(self, name: str, default: float = 0, **labels: str) -> float:
+        return self.counters.get(metric_key(name, labels), default)
+
+    def gauge(self, name: str, default: Optional[float] = None, **labels: str) -> Optional[float]:
+        return self.gauges.get(metric_key(name, labels), default)
+
+    def histogram_summary(self, name: str, **labels: str) -> Optional[Dict[str, float]]:
+        return self.histograms.get(metric_key(name, labels))
+
+    def names(self) -> List[str]:
+        seen = {key[0] for key in self.counters}
+        seen.update(key[0] for key in self.gauges)
+        seen.update(key[0] for key in self.histograms)
+        return sorted(seen)
+
+    def names_with_prefix(self, prefix: str) -> List[str]:
+        """Metric names under one layer prefix (e.g. ``"net."``)."""
+        return [name for name in self.names() if name.startswith(prefix)]
+
+    def sum_counters(self, name: str) -> float:
+        """Sum of one counter across every label combination."""
+        return sum(v for (n, _), v in self.counters.items() if n == name)

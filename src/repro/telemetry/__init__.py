@@ -1,17 +1,12 @@
 """Unified telemetry: labeled metrics, causal request spans, exporters.
 
-One :class:`Telemetry` object is attached to a simulator as
-``sim.telemetry`` (default ``None``). Every instrumented layer guards
-its publishing on that attribute::
-
-    tel = self.sim.telemetry
-    if tel is not None:
-        tel.metrics.inc("net.packets", event="delivered")
-
-so a disabled run pays one attribute read and a None check per hook —
-nothing is allocated, formatted, or stored. Publishing never schedules
-events, charges CPU, or draws randomness, so enabling telemetry cannot
-change what a deterministic run does; it only watches.
+Counters are always on, in the simulator's registry ``Simulator.metrics``
+(:class:`MetricsRegistry`). Spans, gauges and histograms are recorded
+only while a :class:`Telemetry` is attached as ``sim.telemetry``
+(default ``None``); each such hook guards on that attribute, so a run
+without telemetry pays one None check per hook. Recording never
+schedules events, charges CPU, or draws randomness, so attaching
+telemetry cannot change what a deterministic run does; it only watches.
 
 The usual entry point is the harness knob::
 
@@ -24,9 +19,10 @@ See ``docs/observability.md`` for the metric catalog and span semantics.
 
 from __future__ import annotations
 
-from typing import List, Optional, TextIO
+from typing import List, TextIO
 
-from repro.telemetry.metrics import (
+from repro.sim.monitor import (
+    CounterScope,
     MetricKey,
     MetricsRegistry,
     MetricsSnapshot,
@@ -48,6 +44,7 @@ from repro.telemetry.spans import (
 
 __all__ = [
     "Telemetry",
+    "CounterScope",
     "MetricsRegistry",
     "MetricsSnapshot",
     "MetricKey",
@@ -67,17 +64,15 @@ __all__ = [
 
 
 class Telemetry:
-    """Facade bundling one run's metrics registry and span recorder."""
+    """One run's span recorder; while attached, gauges and histograms
+    are recorded into ``Simulator.metrics`` too."""
 
-    def __init__(self, spans: bool = True, span_capacity: int = 1_000_000):
-        self.metrics = MetricsRegistry()
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(capacity=span_capacity) if spans else None
-        )
+    def __init__(self):
+        self.spans = SpanRecorder()
 
     def span_list(self) -> List[Span]:
-        """All recorded spans (empty when span recording is off)."""
-        return [] if self.spans is None else list(self.spans.spans)
+        """All recorded spans."""
+        return list(self.spans.spans)
 
     # ------------------------------------------------------------- exports
 
@@ -86,12 +81,6 @@ class Telemetry:
         from repro.telemetry.exporters import write_chrome_trace
 
         write_chrome_trace(self.span_list(), fp)
-
-    def write_prometheus(self, fp: TextIO) -> None:
-        """Prometheus text snapshot of the metrics registry."""
-        from repro.telemetry.exporters import to_prometheus
-
-        fp.write(to_prometheus(self.metrics.snapshot()))
 
     def write_spans_jsonl(self, fp: TextIO) -> int:
         """JSONL span dump (input of ``python -m repro.telemetry.report``)."""

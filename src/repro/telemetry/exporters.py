@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.telemetry.metrics import MetricKey, MetricsSnapshot
+from repro.sim.monitor import MetricKey, MetricsSnapshot
 from repro.telemetry.spans import Span, TraceKey
 
 # --------------------------------------------------------------- Chrome trace

@@ -81,7 +81,7 @@ class AomRig:
         self.service.attach(self.fabric)
         byzantine = fault_model == NetworkFaultModel.BYZANTINE
         for host in self.receivers:
-            ctx = CryptoContext(host.address, self.authority, self.cost, host.charge)
+            ctx = CryptoContext(host.address, self.authority, self.cost).bind(host)
             host.lib = AomReceiverLib(
                 host,
                 self.config,
@@ -97,8 +97,8 @@ class AomRig:
         )
         self.sender = SenderHost(self.sim, "sender")
         self.sender.attach(self.fabric)
-        sender_ctx = CryptoContext(
-            self.sender.address, self.authority, self.cost, self.sender.charge
+        sender_ctx = CryptoContext(self.sender.address, self.authority, self.cost).bind(
+            self.sender
         )
         self.sender_lib = AomSenderLib(self.sender, GROUP_ID, sender_ctx)
 
@@ -130,6 +130,10 @@ class AomRig:
         """Schedule ``count`` multicasts spaced ``spacing_ns`` apart."""
         for i in range(count):
             self.multicast(f"op{i}", at=spacing_ns * (i + 1))
+
+    def counter(self, name: str, **labels) -> int:
+        """Current value of one counter in the rig's metrics registry."""
+        return self.sim.metrics.snapshot().counter(name, **labels)
 
     def deliveries(self) -> List[list]:
         """Per-receiver delivery sequences."""

@@ -108,7 +108,7 @@ class TestFailoverMechanics:
         rig.sim.run_for(ms(100))
         # Revive the old switch and let it spray stale-epoch packets.
         old_sequencer.recover()
-        before = [h.lib.delivered_count for h in rig.receivers]
+        before = [rig.counter("aom.delivered", node=h.name) for h in rig.receivers]
         from repro.net.packet import Packet
 
         stale = Packet(src=1, dst=None, message=None, size=64, sent_at=0)
@@ -116,5 +116,5 @@ class TestFailoverMechanics:
         # at the new sequencer, and receivers reject epoch-1 packets anyway.
         rig.multicast("new-epoch")
         rig.sim.run()
-        after = [h.lib.delivered_count for h in rig.receivers]
+        after = [rig.counter("aom.delivered", node=h.name) for h in rig.receivers]
         assert all(b + 1 == a for b, a in zip(before, after))

@@ -37,8 +37,8 @@ class TestBasicDelivery:
         rig = AomRig()
         run_rig(rig, count=4)
         for host in rig.receivers:
-            assert host.lib.delivered_count == 4
-            assert host.lib.dropped_count == 0
+            assert rig.counter("aom.delivered", node=host.name) == 4
+            assert rig.counter("aom.drop_notifications", node=host.name) == 0
 
     @pytest.mark.parametrize("receivers", [1, 4, 5, 9])
     def test_arbitrary_group_sizes(self, receivers):
@@ -63,7 +63,7 @@ class TestHmVectorReassembly:
         rig.multicast("wide")
         rig.sim.run()
         # 2 subgroup packets per receiver, 6 receivers = 12 switch legs.
-        assert rig.fabric.counters.get("delivered") >= 12
+        assert rig.counter("net.packets", event="delivered") >= 12
 
 
 class TestAuthentication:
@@ -111,7 +111,7 @@ class TestAuthentication:
         rig.sim.run()
         host = rig.receivers[0]
         # Replay the same content claiming a future epoch.
-        before = host.lib.delivered_count
+        before = rig.counter("aom.delivered", node=host.name)
         fake = replace(
             host.certs[0], epoch=99
         )  # receivers never saw epoch 99 config
@@ -125,7 +125,7 @@ class TestAuthentication:
         )
         host.execute_now(host.lib.on_packet, packet)
         rig.sim.run()
-        assert host.lib.delivered_count == before
+        assert rig.counter("aom.delivered", node=host.name) == before
 
 
 class TestPkHashChain:

@@ -29,7 +29,7 @@ class TestSenderLib:
         rig = AomRig()
         rig.multicast_many(3)
         rig.sim.run()
-        assert rig.sender_lib.sent_count == 3
+        assert rig.counter("aom.multicasts", node="sender") == 3
 
 
 class TestSequencerSwitch:
@@ -38,14 +38,28 @@ class TestSequencerSwitch:
         rig.multicast_many(5)
         rig.sim.run()
         assert rig.sequencer.sequence == 5
-        assert rig.sequencer.packets_sequenced == 5
+        assert rig.counter("aom.sequenced", group=7) == 5
+
+    def test_sequenced_counts_tail_dropped_stamps(self):
+        # A slow pipe with no queue tail-drops every packet that arrives
+        # while the engine is busy; each of them was still stamped.
+        rig = AomRig(
+            aom_kwargs={"hmac_kwargs": {"base_vector_rate_pps": 1e3, "max_queue_ns": 0}}
+        )
+        rig.multicast_many(5)
+        rig.sim.run()
+        drops = rig.counter("switch.tail_drops", group=7)
+        assert drops > 0
+        assert rig.sequencer.sequence == 5
+        assert rig.counter("aom.sequenced", group=7) == 5
+        assert len(rig.receivers[0].certs) == 5 - drops
 
     def test_failed_switch_drops_everything(self):
         rig = AomRig()
         rig.sequencer.fail()
         rig.multicast_many(3)
         rig.sim.run()
-        assert rig.sequencer.packets_dropped_in_switch == 3
+        assert rig.counter("switch.tail_drops", group=7) == 3
         assert all(host.delivered == [] for host in rig.receivers)
 
     def test_recovered_switch_resumes(self):
@@ -96,7 +110,7 @@ class TestSequencerSwitch:
             auth=PartialVector(0, 1, cert.hm_vector),
         )
         host = rig.receivers[0]
-        before = host.lib.delivered_count
+        before = rig.counter("aom.delivered", node=host.name)
         host.execute_now(host.lib.on_packet, bogus)
         rig.sim.run()
-        assert host.lib.delivered_count == before
+        assert rig.counter("aom.delivered", node=host.name) == before

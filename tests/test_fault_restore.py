@@ -79,12 +79,13 @@ class TestReplicaBehaviourRestore:
         victim = cluster.replica_by_id(2)
         restore = delay_everything(victim, us(200))
 
+        def received():
+            return sim.metrics.snapshot().counter("net.received", host=victim.name)
+
         def window(duration):
-            busy, seen = victim.cpu.busy_ns, victim.messages_received
+            busy, seen = victim.cpu.busy_ns, received()
             sim.run_for(duration)
-            return (victim.cpu.busy_ns - busy) / max(
-                1, victim.messages_received - seen
-            )
+            return (victim.cpu.busy_ns - busy) / max(1, received() - seen)
 
         slowed_per_msg = window(ms(2))
         restore()

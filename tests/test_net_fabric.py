@@ -49,7 +49,7 @@ class TestUnicast:
         sim, fabric, a, b = make_pair()
         a.execute_now(a.send, 999, "void")
         sim.run()
-        assert fabric.counters.get("unroutable") == 1
+        assert sim.metrics.snapshot().counter("net.packets", event="unroutable") == 1
         assert b.received == []
 
     def test_duplicate_address_rejected(self):
@@ -107,7 +107,7 @@ class TestLossAndPartition:
 
         a.execute_now(send_all)
         sim.run()
-        lost = fabric.counters.get("lost")
+        lost = sim.metrics.snapshot().counter("net.packets", event="lost")
         assert 120 < lost < 280  # ~200 expected
         assert len(b.received) == 400 - lost
 
@@ -170,7 +170,7 @@ class TestMulticastRouting:
         sim, fabric, a, b = make_pair()
         a.execute_now(a.send, GroupAddress(1), "void")
         sim.run()
-        assert fabric.counters.get("unroutable") == 1
+        assert sim.metrics.snapshot().counter("net.packets", event="unroutable") == 1
 
     def test_unregister_group(self):
         sim, fabric, a, b = make_pair()

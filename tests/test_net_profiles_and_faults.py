@@ -153,7 +153,7 @@ class TestInjectors:
         a.execute_now(a.send, b.address, "twin")
         sim.run()
         assert b.seen == ["twin", "twin"]
-        assert fabric.counters.get("duplicated") == 1
+        assert sim.metrics.snapshot().counter("net.packets", event="duplicated") == 1
         remove()
         a.execute_now(a.send, b.address, "single")
         sim.run()
@@ -180,7 +180,7 @@ class TestInjectors:
         a.execute_now(burst)
         sim.run()
         assert b.seen == ["late", "early"]
-        assert fabric.counters.get("reordered") == 1
+        assert sim.metrics.snapshot().counter("net.packets", event="reordered") == 1
         remove()
 
 
@@ -189,8 +189,9 @@ class TestEndpointCounters:
         sim, fabric, a, b = pair()
         a.execute_now(a.send_all, [b.address, b.address], "x")
         sim.run()
-        assert a.messages_sent == 2
-        assert b.messages_received == 2
+        snap = sim.metrics.snapshot()
+        assert snap.counter("net.sent", host=a.name) == 2
+        assert snap.counter("net.received", host=b.name) == 2
 
 
 class TestInterposers:
@@ -203,7 +204,7 @@ class TestInterposers:
         a.execute_now(a.send, b.address, "keep")
         sim.run()
         assert b.seen == ["KEEP"]
-        assert b.messages_received == 3
+        assert sim.metrics.snapshot().counter("net.received", host=b.name) == 3
 
     def test_receive_interposer_runs_after_receive_charge(self):
         sim, fabric, a, b = pair()
@@ -242,7 +243,7 @@ class TestInterposers:
         a.execute_now(a.send, b.address, "x")
         sim.run()
         assert b.seen == [(b.address, "x")]
-        assert a.messages_sent == 1
+        assert sim.metrics.snapshot().counter("net.sent", host=a.name) == 1
         remove()
         a.execute_now(a.send, b.address, "y")
         sim.run()

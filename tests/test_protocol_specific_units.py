@@ -72,7 +72,7 @@ class TestHotStuff:
 
     def test_replicas_execute_identically(self):
         cluster, _ = run_cluster("hotstuff", duration=ms(15))
-        counts = {r.ops_executed for r in cluster.replicas}
+        counts = {r.metrics.get("ops_executed") for r in cluster.replicas}
         assert len(counts) == 1
 
     def test_decide_carries_commit_qc_only(self):
@@ -194,7 +194,7 @@ class TestUnreplicated:
         cluster, _ = run_cluster("unreplicated", clients=1, duration=ms(2))
         server, client = cluster.replicas[0], cluster.clients[0]
         assert client.completions > 1
-        executed = server.ops_executed
+        executed = server.metrics.get("ops_executed")
         stale = authenticate_request(
             client.pairwise,
             client.address,
@@ -204,4 +204,4 @@ class TestUnreplicated:
         )
         client.execute_now(client.send, server.address, stale)
         cluster.sim.run_for(ms(1))
-        assert server.ops_executed == executed
+        assert server.metrics.get("ops_executed") == executed

@@ -2,19 +2,20 @@
 Byzantine reply rejection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.statemachine import CounterApp
 from repro.faults.behaviors import corrupt_replies, make_silent
-from repro.net.profiles import NetworkProfile
-from repro.runtime import ClusterOptions, Measurement, build_cluster
-from repro.sim.clock import ms
-
-from tests.linearizability import (
+from repro.faults.linearizability import (
     CounterOp,
     LinearizabilityViolation,
     check_counter_history,
     check_counter_history_with_gaps,
+    first_real_time_inversion,
 )
+from repro.net.profiles import NetworkProfile
+from repro.runtime import ClusterOptions, Measurement, build_cluster
+from repro.sim.clock import ms
 
 ONE = (1).to_bytes(8, "big", signed=True)
 
@@ -97,6 +98,90 @@ class TestCheckerItself:
             CounterOp("c2", 11, 20, 1, 5),  # holes: retried ops executed
         ]
         check_counter_history_with_gaps(history)
+
+
+def reference_real_time_inversion(ordered):
+    """The O(n^2) pairwise scan the checkers used to run; the reference."""
+    for earlier_index, earlier in enumerate(ordered):
+        for later in ordered[earlier_index + 1 :]:
+            if later.completed_at < earlier.invoked_at:
+                return earlier, later
+    return None
+
+
+def verdict(check, history):
+    """``None`` when ``check`` accepts ``history``, else its message."""
+    try:
+        check(history)
+    except LinearizabilityViolation as violation:
+        return str(violation)
+    return None
+
+
+@st.composite
+def histories_with_inversions(draw):
+    """A linearizable delta-1 history whose results are then swapped.
+
+    Each op gets a linearization point inside [invoked, completed] and its
+    result is its rank by that point; swapping results of random pairs
+    injects real-time inversions (and leaves prefix sums intact).
+    """
+    size = draw(st.integers(0, 40))
+    points = draw(st.lists(st.integers(0, 200), min_size=size, max_size=size))
+    spans = draw(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                 min_size=size, max_size=size)
+    )
+    order = sorted(range(size), key=lambda index: (points[index], index))
+    results = {op_index: rank + 1 for rank, op_index in enumerate(order)}
+    if size >= 2:
+        swaps = draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=4
+        ))
+        for a, b in swaps:
+            results[a], results[b] = results[b], results[a]
+    return [
+        CounterOp(f"c{index}", points[index] - before, points[index] + after, 1,
+                  results[index])
+        for index, (before, after) in enumerate(spans)
+    ]
+
+
+class TestLinearRealTimeCheck:
+    """The suffix-minimum scan reports exactly what the pairwise scan did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(histories_with_inversions())
+    def test_same_pair_verdict_and_message(self, history):
+        ordered = sorted(history, key=lambda op: op.result)
+        pair = reference_real_time_inversion(ordered)
+        found = first_real_time_inversion(ordered)
+        assert found == pair
+        if pair is None:
+            assert verdict(check_counter_history, history) is None
+            assert verdict(check_counter_history_with_gaps, history) is None
+            return
+        earlier, later = pair
+        assert found[0] is earlier and found[1] is later
+        assert verdict(check_counter_history, history) == (
+            f"{later.client} completed at {later.completed_at} before "
+            f"{earlier.client} was invoked at {earlier.invoked_at}, "
+            "but is ordered after it"
+        )
+        assert verdict(check_counter_history_with_gaps, history) == (
+            f"real-time order violated between {earlier.client} and "
+            f"{later.client}"
+        )
+
+    def test_reports_lowest_earlier_then_lowest_later(self):
+        ordered = [
+            CounterOp("a", 0, 5, 1, 1),
+            CounterOp("b", 50, 60, 1, 2),  # invoked after c and d completed
+            CounterOp("c", 0, 30, 1, 3),
+            CounterOp("d", 0, 20, 1, 4),
+        ]
+        earlier, later = first_real_time_inversion(ordered)
+        assert (earlier.client, later.client) == ("b", "c")
 
 
 @pytest.mark.parametrize(

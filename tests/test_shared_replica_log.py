@@ -73,13 +73,13 @@ class TestMinBftCounterOrder:
         primary.add_send_interposer(capture)
         Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(3)).run()
         drain(cluster)
-        counter, executed = backup.usig.counter, backup.ops_executed
-        assert prepares and backup.ops_executed > 0
+        counter, executed = backup.usig.counter, backup.metrics.get("ops_executed")
+        assert prepares and backup.metrics.get("ops_executed") > 0
         deliver(cluster, backup, primary.address, prepares[0])
         # No fresh commit UI, no new state, nothing executed.
         assert backup.usig.counter == counter
         assert prepares[0].ui.counter not in backup.states
-        assert backup.ops_executed == executed
+        assert backup.metrics.get("ops_executed") == executed
 
     def test_executes_in_primary_counter_order(self):
         cluster = build_cluster(ClusterOptions(protocol="minbft", num_clients=3, seed=43))

@@ -3,25 +3,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.monitor import Counter, Histogram, RateMeter, TimeSeries
+from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter, TimeSeries
 
 
 class TestCounter:
+    """Counters of one registry scope."""
+
     def test_increment_and_get(self):
-        counter = Counter()
+        counter = MetricsRegistry().scope("net.", host="a")
         counter.add("x")
         counter.add("x", 4)
         assert counter.get("x") == 5
 
     def test_missing_is_zero(self):
-        assert Counter().get("missing") == 0
+        assert MetricsRegistry().scope("net.").get("missing") == 0
 
     def test_as_dict_snapshot(self):
-        counter = Counter()
+        registry = MetricsRegistry()
+        counter = registry.scope("net.", host="a")
         counter.add("a", 2)
-        snapshot = counter.as_dict()
+        snapshot = registry.snapshot()
         counter.add("a")
-        assert snapshot == {"a": 2}
+        assert snapshot.counters == {("net.a", (("host", "a"),)): 2}
 
 
 class TestHistogram:

@@ -13,7 +13,7 @@ from repro.telemetry.exporters import (
     to_chrome_trace,
     to_prometheus,
 )
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.spans import Span
 
 TRACE = (100, 1)
@@ -70,7 +70,7 @@ class TestChromeTrace:
 class TestPrometheus:
     def _snapshot(self):
         reg = MetricsRegistry()
-        reg.inc("net.packets", 7, event="sent")
+        reg.scope("net.", event="sent").add("packets", 7)
         reg.set_gauge("switch.fpga_stock", 1024)
         for v in (100, 200, 300):
             reg.observe("client.request_latency_ns", v, proto="neobft")

@@ -18,9 +18,18 @@ def run_with_telemetry():
 
 
 class TestHarnessIntegration:
-    def test_disabled_leaves_no_snapshot(self):
+    def test_disabled_still_counts(self):
         result = run_once(OPTIONS, warmup_ns=ms(1), duration_ns=ms(4))
-        assert result.metrics is None
+        snap = result.metrics
+        for prefix in ("net.", "aom.", "replica.", "crypto."):
+            assert snap.names_with_prefix(prefix), f"no {prefix} counters"
+        assert snap.counters and not snap.gauges and not snap.histograms
+
+    def test_counters_identical_with_and_without_telemetry(self):
+        plain = run_once(OPTIONS, warmup_ns=ms(1), duration_ns=ms(4))
+        _, traced = run_with_telemetry()
+        assert traced.metrics.counters == plain.metrics.counters
+        assert traced.metrics.gauges and traced.metrics.histograms
 
     def test_enabled_vs_disabled_identical_results(self):
         plain = run_once(OPTIONS, warmup_ns=ms(1), duration_ns=ms(4))
@@ -40,7 +49,7 @@ class TestHarnessIntegration:
     def test_protocol_labels(self):
         _, result = run_with_telemetry()
         snap = result.metrics
-        assert snap.counter("replica.ops_executed", proto="neobft") > 0
+        assert snap.counter("replica.ops_executed", node="replica-0", proto="neobft") > 0
         assert snap.histogram_summary("client.request_latency_ns", proto="neobft")
 
     def test_spans_decompose_exactly(self):

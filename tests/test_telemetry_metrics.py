@@ -1,6 +1,6 @@
 """Labeled metrics registry and snapshot views."""
 
-from repro.telemetry.metrics import MetricsRegistry, format_key, metric_key
+from repro.telemetry import MetricsRegistry, format_key, metric_key
 
 
 class TestMetricKey:
@@ -18,42 +18,51 @@ class TestMetricKey:
 class TestRegistry:
     def test_counters(self):
         reg = MetricsRegistry()
-        reg.inc("net.packets", event="sent")
-        reg.inc("net.packets", 3, event="sent")
-        reg.inc("net.packets", event="lost")
-        assert reg.counter_value("net.packets", event="sent") == 4
-        assert reg.counter_value("net.packets", event="lost") == 1
-        assert reg.counter_value("net.packets", event="absent") == 0
+        reg.scope("net.", event="sent").add("packets")
+        reg.scope("net.", event="sent").add("packets", 3)
+        reg.scope("net.", event="lost").add("packets")
+        snap = reg.snapshot()
+        assert snap.counter("net.packets", event="sent") == 4
+        assert snap.counter("net.packets", event="lost") == 1
+        assert snap.counter("net.packets", event="absent") == 0
+
+    def test_scopes_with_equal_labels_are_shared(self):
+        reg = MetricsRegistry()
+        scope = reg.scope("aom.", node="replica-0", group=1)
+        assert reg.scope("aom.", group="1", node="replica-0") is scope
+        assert reg.scope("net.", node="replica-0", group=1) is not scope
 
     def test_gauges_keep_latest(self):
         reg = MetricsRegistry()
         reg.set_gauge("net.queue_depth", 5, host="replica-0")
         reg.set_gauge("net.queue_depth", 2, host="replica-0")
-        assert reg.gauge_value("net.queue_depth", host="replica-0") == 2
-        assert reg.gauge_value("net.queue_depth", host="replica-9") is None
+        snap = reg.snapshot()
+        assert snap.gauge("net.queue_depth", host="replica-0") == 2
+        assert snap.gauge("net.queue_depth", host="replica-9") is None
 
     def test_histograms(self):
         reg = MetricsRegistry()
         for v in (10, 20, 30):
             reg.observe("client.request_latency_ns", v, proto="neobft")
-        hist = reg.histogram("client.request_latency_ns", proto="neobft")
-        assert hist.count == 3
-        assert hist.median() == 20
-        assert reg.histogram("client.request_latency_ns", proto="pbft") is None
+        snap = reg.snapshot()
+        summary = snap.histogram_summary("client.request_latency_ns", proto="neobft")
+        assert summary["count"] == 3
+        assert summary["p50"] == 20
+        assert snap.histogram_summary("client.request_latency_ns", proto="pbft") is None
 
     def test_names(self):
         reg = MetricsRegistry()
-        reg.inc("b.counter")
+        reg.scope("b.").add("counter")
         reg.set_gauge("a.gauge", 1)
         reg.observe("c.hist", 1)
-        assert reg.names() == ["a.gauge", "b.counter", "c.hist"]
+        assert reg.snapshot().names() == ["a.gauge", "b.counter", "c.hist"]
 
 
 class TestSnapshot:
     def _snapshot(self):
         reg = MetricsRegistry()
-        reg.inc("net.packets", 4, event="sent")
-        reg.inc("net.packets", 1, event="lost")
+        reg.scope("net.", event="sent").add("packets", 4)
+        reg.scope("net.", event="lost").add("packets", 1)
         reg.set_gauge("switch.fpga_stock", 4096)
         for v in range(1, 11):
             reg.observe("replica.exec_cost_ns", v * 100, proto="neobft")
@@ -80,8 +89,9 @@ class TestSnapshot:
 
     def test_snapshot_is_a_copy(self):
         reg = MetricsRegistry()
-        reg.inc("x")
+        scope = reg.scope("")
+        scope.add("x")
         snap = reg.snapshot()
-        reg.inc("x")
+        scope.add("x")
         assert snap.counter("x") == 1
-        assert reg.counter_value("x") == 2
+        assert reg.snapshot().counter("x") == 2
