@@ -34,7 +34,7 @@ from repro.aom.messages import (
     header_digest,
 )
 from repro.crypto.backend import CryptoContext
-from repro.crypto.hmacvec import HmacVector, PairwiseKeys, sim_mac
+from repro.crypto.hmacvec import HmacVector, sim_mac
 from repro.sim.clock import us
 from repro.switchfab.fpga import ChainedToken
 from repro.switchfab.hmac_pipeline import PartialVector
@@ -62,7 +62,6 @@ class AomReceiverLib:
         crypto: CryptoContext,
         deliver: DeliverFn,
         deliver_drop: DropFn,
-        pairwise: Optional[PairwiseKeys] = None,
         on_stuck: Optional[StuckFn] = None,
         stuck_timeout_ns: int = us(400),
         pk_verify_interval_ns: int = us(25),
@@ -77,7 +76,6 @@ class AomReceiverLib:
         self.deliver = deliver
         self.deliver_drop = deliver_drop
         self.on_deliver: List[DeliverHook] = []
-        self.pairwise = pairwise
         self.on_stuck = on_stuck
         self.stuck_timeout_ns = stuck_timeout_ns
         self.pk_verify_interval_ns = pk_verify_interval_ns
@@ -97,8 +95,6 @@ class AomReceiverLib:
         self._last_pk_verify = -pk_verify_interval_ns
         self._pending_signed = None
         self._pk_verify_timer = None
-        if config.network_fault_model == NetworkFaultModel.BYZANTINE and pairwise is None:
-            raise ValueError("Byzantine-network mode needs pairwise keys for confirms")
 
         self.epoch = 0
         self.epoch_config: Optional[EpochConfig] = None
@@ -398,12 +394,7 @@ class AomReceiverLib:
             auth=None,
         )
         peers = [rid for rid in self.epoch_config.receiver_ids if rid != my_id]
-        vector = HmacVector(
-            tuple(
-                (rid, self.crypto.mac(self.pairwise.key_between(my_id, rid), body_stub.signed_body()))
-                for rid in peers
-            )
-        )
+        vector = self.crypto.mac_vector(peers, body_stub.signed_body())
         confirm = Confirm(
             group_id=cert.group_id,
             epoch=cert.epoch,
@@ -453,12 +444,9 @@ class AomReceiverLib:
             return
         if confirm.sequence < self.next_seq:
             return
-        my_id = self.host.address
-        key = self.pairwise.key_between(my_id, confirm.replica)
-        vector: HmacVector = confirm.auth
-        if not vector.has_entry(my_id):
-            return
-        if not self.crypto.verify_mac(key, confirm.signed_body(), vector.tag_for(my_id)):
+        if not self.crypto.verify_vector_from(
+            confirm.replica, confirm.signed_body(), confirm.auth
+        ):
             return
         self._record_confirm(confirm)
         self._flush()

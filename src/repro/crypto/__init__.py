@@ -26,7 +26,7 @@ from repro.crypto.backend import (
 )
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import HashChain, sha256_digest
-from repro.crypto.hmacvec import HmacVector, compute_hmac, make_hmac_vector
+from repro.crypto.hmacvec import HmacVector
 from repro.crypto.siphash import halfsiphash24, siphash24
 
 __all__ = [
@@ -38,9 +38,7 @@ __all__ = [
     "KeyAuthority",
     "RealBackend",
     "Signature",
-    "compute_hmac",
     "halfsiphash24",
-    "make_hmac_vector",
     "sha256_digest",
     "siphash24",
 ]

@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.ecdsa import PrivateKey, PublicKey
-from repro.crypto.hmacvec import sim_mac
+from repro.crypto.hmacvec import HmacVector, sim_mac
 from repro.sim.monitor import MetricsRegistry
 
 
@@ -48,15 +48,19 @@ class Signature:
 
 
 class KeyAuthority:
-    """Trust root for a simulation: issues and verifies identities.
+    """Trust root for a simulation: issues identities and session keys.
 
     Stands in for the PKI / configuration-service key distribution the
     paper assumes. One authority exists per cluster; every node receives a
-    signer bound to its integer identity.
+    signer bound to its integer identity. It also holds the MAC session
+    key of every pair of nodes, derived from ``session_secret`` the way a
+    session-establishment handshake would settle them once at startup.
     """
 
-    def __init__(self, backend: "SignatureBackend"):
+    def __init__(self, backend: "SignatureBackend", session_secret: bytes):
         self.backend = backend
+        self._session_secret = session_secret
+        self._session_keys: Dict[Tuple[int, int], bytes] = {}
 
     def register(self, node_id: int) -> None:
         """Create key material for a node identity (idempotent)."""
@@ -74,6 +78,23 @@ class KeyAuthority:
         node, which is what scopes signing capability to the key owner.
         """
         return self.backend.sign(node_id, data)
+
+    def session_key(self, node_a: int, node_b: int) -> bytes:
+        """The 8-byte MAC key shared by the unordered pair {a, b}.
+
+        Only :class:`CryptoContext` instances bound to ``node_a`` or
+        ``node_b`` ask for it.
+        """
+        pair = (node_a, node_b) if node_a <= node_b else (node_b, node_a)
+        key = self._session_keys.get(pair)
+        if key is None:
+            key = sha256_digest(
+                self._session_secret
+                + pair[0].to_bytes(4, "big")
+                + pair[1].to_bytes(4, "big")
+            )[:8]
+            self._session_keys[pair] = key
+        return key
 
 
 class SignatureBackend:
@@ -179,6 +200,7 @@ class CryptoContext:
         # (Table 1): ops are 'sign', 'verify', 'mac', 'digest', 'share',
         # 'combine'. Until bind(), they go to a registry of their own.
         self.counters = MetricsRegistry().scope("crypto.")
+        self._session_keys: Dict[int, bytes] = {}  # peer -> shared MAC key
         authority.register(node_id)
 
     @property
@@ -256,22 +278,49 @@ class CryptoContext:
         return self.authority.verify(combined, b"combined/" + data)
 
     # --------------------------------------------------------------- MACs
+    #
+    # Every node-to-node MAC goes through these four operations, under the
+    # session key this node shares with the peer. Each tag made or checked
+    # charges one HalfSipHash and counts one ``crypto.mac``.
 
-    def mac(self, key: bytes, data: bytes) -> bytes:
-        """Symmetric MAC tag with cost accounting."""
+    def mac_to(self, peer: int, data: bytes) -> bytes:
+        """The tag ``peer`` will check on ``data`` from this node."""
+        key = self._session_keys.get(peer)
+        if key is None:
+            key = self._session_keys[peer] = self.authority.session_key(self.node_id, peer)
         self.counters.add("mac")
         self._bill(self.cost.hmac_ns)
         return sim_mac(key, data)
 
-    def verify_mac(self, key: bytes, data: bytes, tag: bytes) -> bool:
-        """Verify a MAC tag with cost accounting."""
-        return self.mac(key, data) == tag
+    def mac_vector(self, peers: Iterable[int], data: bytes) -> HmacVector:
+        """One tag per peer over ``data``, made in ``peers`` order."""
+        return HmacVector(tuple([(peer, self.mac_to(peer, data)) for peer in peers]))
+
+    def verify_mac_from(self, peer: int, data: bytes, tag: bytes) -> bool:
+        """Check ``peer``'s tag on ``data``."""
+        return self.mac_to(peer, data) == tag
+
+    def verify_vector_from(
+        self, peer: int, data: bytes, vector: Optional[HmacVector]
+    ) -> bool:
+        """Check this node's entry in ``peer``'s vector over ``data``.
+
+        A missing vector, or one with no entry for this node, fails
+        without charge.
+        """
+        if vector is None:
+            return False
+        for receiver, tag in vector.tags:
+            if receiver == self.node_id:
+                return self.mac_to(peer, data) == tag
+        return False
 
 
 def make_authority(backend_name: str = "fast", seed: bytes = b"repro") -> KeyAuthority:
-    """Build a key authority for the requested backend (``fast``/``real``)."""
+    """Build a key authority for the requested backend (``fast``/``real``);
+    ``seed`` also derives its session keys."""
     if backend_name == "fast":
-        return KeyAuthority(FastBackend(seed))
+        return KeyAuthority(FastBackend(seed), seed)
     if backend_name == "real":
-        return KeyAuthority(RealBackend(seed))
+        return KeyAuthority(RealBackend(seed), seed)
     raise ValueError(f"unknown crypto backend {backend_name!r}")

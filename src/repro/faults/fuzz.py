@@ -124,12 +124,6 @@ def _signature(kind: str, message: str) -> str:
     return kind + ":" + head
 
 
-def _replicas_for(protocol: str, f: int) -> int:
-    # Mirrors runtime.cluster.ClusterOptions.resolved_replicas without
-    # importing the runtime layer at generation time.
-    return 2 * f + 1 if protocol == "minbft" else 3 * f + 1
-
-
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
@@ -170,9 +164,11 @@ def generate_case(
     of a :class:`RandomStreams` seeded with ``seed``, so generation is a
     pure function of its arguments — bit-identical in any process.
     """
+    from repro.runtime.cluster import ClusterOptions
+
     budget = budget or FuzzBudget()
     rng = RandomStreams(seed).get(SCHEDULE_STREAM)
-    n = _replicas_for(protocol, f)
+    n = ClusterOptions(protocol=protocol, f=f).resolved_replicas()
     horizon_ns = warmup_ns + duration_ns
     ctx = GenContext(protocol=protocol, n=n, f=f, horizon_ns=horizon_ns)
     pool = fuzzable_kinds(protocol, budget.allowed_kinds)

@@ -15,35 +15,19 @@ keys could plausibly emit:
 - :data:`VOTE_TYPES` lists the messages whose absence starves a quorum —
   what a vote-withholder suppresses.
 
-Protocols without an entry simply yield no-op adversaries (NeoBFT has no
-leader proposal to equivocate about; ordering comes from the sequencer),
-which keeps the fault-schedule fuzzer free to draw any behaviour against
-any protocol.
+Each protocol family registers its own entries when its package is
+imported (next to the message types they name), so this module loads no
+family. Protocols without an entry simply yield no-op adversaries (NeoBFT
+has no leader proposal to equivocate about; ordering comes from the
+sequencer), which keeps the fault-schedule fuzzer free to draw any
+behaviour against any protocol.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.crypto.digests import chain_step
 from repro.crypto.hmacvec import HmacVector
-from repro.protocols.hotstuff.messages import Phase, Proposal as HotStuffProposal
-from repro.protocols.hotstuff.messages import Vote as HotStuffVote
-from repro.protocols.messages import batch_digest
-from repro.protocols.minbft.replica import MinBftCommit, MinBftPrepare
-from repro.protocols.neobft.messages import (
-    GapCommit,
-    GapDrop,
-    GapPrepare,
-    GapRecv,
-)
-from repro.protocols.pbft.messages import (
-    Commit as PbftCommit,
-    PrePrepare,
-    Prepare as PbftPrepare,
-)
-from repro.protocols.zyzzyva.messages import LocalCommit, OrderReq
 
 # message type -> fn(replica, dst, message) -> Optional[forged message]
 PROPOSAL_MUTATORS: Dict[type, Callable] = {}
@@ -83,10 +67,7 @@ def self_auth_for(replica, dst: int, body: bytes) -> HmacVector:
     must pass ``dst``'s point-to-point MAC check, which only needs the
     sender's pairwise key — no foreign key material involved.
     """
-    tag = replica.crypto.mac(
-        replica.pairwise.key_between(replica.address, dst), body
-    )
-    return HmacVector(((dst, tag),))
+    return replica.crypto.mac_vector((dst,), body)
 
 
 def conflicting_batch(batch: tuple) -> Optional[tuple]:
@@ -101,81 +82,3 @@ def conflicting_batch(batch: tuple) -> Optional[tuple]:
     if len(batch) > 1:
         return tuple(reversed(batch))
     return batch + batch
-
-
-# ---------------------------------------------------------------------------
-# PBFT: fork the pre-prepare per destination
-# ---------------------------------------------------------------------------
-
-
-def _mutate_pbft_pre_prepare(replica, dst, message: PrePrepare):
-    forged_batch = conflicting_batch(message.batch)
-    if forged_batch is None:
-        return None
-    forged = PrePrepare(
-        message.view, message.seq, batch_digest(forged_batch), forged_batch
-    )
-    return replace(forged, auth=self_auth_for(replica, dst, forged.signed_body()))
-
-
-# ---------------------------------------------------------------------------
-# Zyzzyva: fork the order-req (history chain re-derived from the fork)
-# ---------------------------------------------------------------------------
-
-
-def _mutate_zyzzyva_order_req(replica, dst, message: OrderReq):
-    forged_batch = conflicting_batch(message.batch)
-    if forged_batch is None:
-        return None
-    digest = batch_digest(forged_batch)
-    forged = OrderReq(
-        message.view, message.seq, chain_step(message.history, digest),
-        digest, forged_batch,
-    )
-    return replace(forged, auth=self_auth_for(replica, dst, forged.signed_body()))
-
-
-# ---------------------------------------------------------------------------
-# HotStuff: fork the prepare-phase proposal (no MAC vector to rebuild)
-# ---------------------------------------------------------------------------
-
-
-def _mutate_hotstuff_proposal(replica, dst, message: HotStuffProposal):
-    if message.phase != Phase.PREPARE:
-        return None  # later phases carry QCs the adversary cannot forge
-    forged_batch = conflicting_batch(message.batch)
-    if forged_batch is None:
-        return None
-    return replace(message, digest=batch_digest(forged_batch), batch=forged_batch)
-
-
-# ---------------------------------------------------------------------------
-# MinBFT: the USIG makes true equivocation impossible — the counter binds
-# one digest per UI — so the strongest primary attack is a corrupt-digest
-# prepare (stale UI over a different batch), which receivers must reject.
-# ---------------------------------------------------------------------------
-
-
-def _mutate_minbft_prepare(replica, dst, message: MinBftPrepare):
-    forged_batch = conflicting_batch(message.batch)
-    if forged_batch is None:
-        return None
-    return replace(message, digest=batch_digest(forged_batch), batch=forged_batch)
-
-
-register_proposal_mutator(PrePrepare, _mutate_pbft_pre_prepare)
-register_proposal_mutator(OrderReq, _mutate_zyzzyva_order_req)
-register_proposal_mutator(HotStuffProposal, _mutate_hotstuff_proposal)
-register_proposal_mutator(MinBftPrepare, _mutate_minbft_prepare)
-
-register_vote_types(
-    PbftPrepare,
-    PbftCommit,
-    LocalCommit,
-    HotStuffVote,
-    MinBftCommit,
-    GapPrepare,
-    GapCommit,
-    GapRecv,
-    GapDrop,
-)

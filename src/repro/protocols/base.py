@@ -14,15 +14,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
 from repro.crypto.costmodel import CostModel
-from repro.crypto.hmacvec import PairwiseKeys
 from repro.net.endpoint import Endpoint
 from repro.protocols.log import EntryKind, LogEntry, ReplicaLog
-from repro.protocols.messages import (
-    ClientReply,
-    ClientRequest,
-    authenticate_request,
-    verify_request,
-)
+from repro.protocols.messages import ClientReply, ClientRequest
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 
@@ -78,8 +72,6 @@ class BaseReplica(Endpoint):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto: CryptoContext,
-        pairwise: PairwiseKeys,
         cost_model: Optional[CostModel] = None,
         cores: int = 1,
     ):
@@ -87,8 +79,7 @@ class BaseReplica(Endpoint):
         self.replica_id = replica_id
         self.group = group
         self.app = app
-        self.crypto = crypto
-        self.pairwise = pairwise
+        self.crypto: Optional[CryptoContext] = None  # bound by the cluster builder
         self.view = 0
         self.log = ReplicaLog()
         # At-most-once: latest (request_id, reply) per client.
@@ -163,8 +154,8 @@ class BaseReplica(Endpoint):
 
     def check_request_auth(self, request: ClientRequest) -> bool:
         """Verify the client's MAC-vector entry (charged)."""
-        return verify_request(
-            self.pairwise, self.address, request, self.crypto.verify_mac
+        return self.crypto.verify_vector_from(
+            request.client_id, request.canonical(), request.auth
         )
 
     def admit_once(self, request: ClientRequest) -> bool:
@@ -203,9 +194,7 @@ class BaseReplica(Endpoint):
 
     def reply_to_client(self, client_id: int, reply: ClientReply) -> None:
         """MAC and send a reply; caches it for duplicate retransmission."""
-        tag = self.crypto.mac(
-            self.pairwise.key_between(self.address, client_id), reply.signed_body()
-        )
+        tag = self.crypto.mac_to(client_id, reply.signed_body())
         tagged = ClientReply(
             view=reply.view,
             replica=reply.replica,
@@ -310,8 +299,6 @@ class BaseClient(Endpoint):
         sim: Simulator,
         client_id_name: str,
         group: ReplicaGroup,
-        crypto: CryptoContext,
-        pairwise: PairwiseKeys,
         reply_quorum: int,
         cost_model: Optional[CostModel] = None,
         retry_timeout_ns: int = ms(5),
@@ -330,8 +317,7 @@ class BaseClient(Endpoint):
                 f"max_request_retries must be >= 1 or None, got {max_request_retries!r}"
             )
         self.group = group
-        self.crypto = crypto
-        self.pairwise = pairwise
+        self.crypto: Optional[CryptoContext] = None  # bound by the cluster builder
         self.reply_quorum = reply_quorum
         self.retry_timeout_ns = retry_timeout_ns
         self.retry_backoff = retry_backoff
@@ -375,10 +361,12 @@ class BaseClient(Endpoint):
         """Send one operation; returns its request id."""
         if self.inflight is not None:
             raise RuntimeError(f"{self.name}: one outstanding request at a time")
-        request = ClientRequest(self.address, self.next_request_id, op)
+        request_id = self.next_request_id
         self.next_request_id += 1
-        request = authenticate_request(
-            self.pairwise, self.address, self.group.replica_addrs, request, self.crypto.mac
+        body = ClientRequest(self.address, request_id, op).canonical()
+        request = ClientRequest(
+            self.address, request_id, op,
+            self.crypto.mac_vector(self.group.replica_addrs, body),
         )
         self.inflight = request
         self.inflight_since = self.sim.now
@@ -456,8 +444,7 @@ class BaseClient(Endpoint):
 
     def verify_reply(self, src: int, reply: ClientReply) -> bool:
         """Check the replica's MAC on a reply (charged)."""
-        key = self.pairwise.key_between(self.address, src)
-        return self.crypto.verify_mac(key, reply.signed_body(), reply.tag)
+        return self.crypto.verify_mac_from(src, reply.signed_body(), reply.tag)
 
     def _on_reply(self, src: int, reply: ClientReply) -> None:
         if self.inflight is None or reply.request_id != self.inflight.request_id:

@@ -11,11 +11,9 @@ class HotStuffClient(BaseClient):
 
     PROTO = "hotstuff"
 
-    def __init__(self, sim, name, group: ReplicaGroup, crypto, pairwise, **kwargs):
+    def __init__(self, sim, name, group: ReplicaGroup, **kwargs):
         kwargs.setdefault("retry_timeout_ns", 50_000_000)
-        super().__init__(
-            sim, name, group, crypto, pairwise, reply_quorum=group.f + 1, **kwargs
-        )
+        super().__init__(sim, name, group, reply_quorum=group.f + 1, **kwargs)
 
     def transmit_request(self, request: ClientRequest, first: bool) -> None:
         if first:

@@ -10,13 +10,14 @@ the same key-authority mechanics as other signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
-from repro.protocols.messages import ClientRequest
+from repro.protocols import adversary
+from repro.protocols.messages import ClientRequest, batch_digest
 
 
 class Phase(IntEnum):
@@ -87,3 +88,22 @@ class Decide:
 
     def wire_size(self) -> int:
         return 48 + 96
+
+
+# ---------------------------------------------------------------------------
+# Adversary hooks: an equivocating leader forks the prepare-phase proposal
+# (no MAC vector to rebuild); a withholder suppresses votes.
+# ---------------------------------------------------------------------------
+
+
+def _fork_proposal(replica, dst: int, message: Proposal) -> Optional[Proposal]:
+    if message.phase != Phase.PREPARE:
+        return None  # later phases carry QCs the adversary cannot forge
+    forged_batch = adversary.conflicting_batch(message.batch)
+    if forged_batch is None:
+        return None
+    return replace(message, digest=batch_digest(forged_batch), batch=forged_batch)
+
+
+adversary.register_proposal_mutator(Proposal, _fork_proposal)
+adversary.register_vote_types(Vote)

@@ -39,13 +39,11 @@ class HotStuffReplica(BaseReplica):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto,
-        pairwise,
         batch_size: int = 150,
         pipeline_depth: int = 1,
         **kwargs,
     ):
-        super().__init__(sim, replica_id, group, app, crypto, pairwise, **kwargs)
+        super().__init__(sim, replica_id, group, app, **kwargs)
         group.validate(min_factor=3)
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._propose, max_batch=batch_size, max_outstanding=pipeline_depth

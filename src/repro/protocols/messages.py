@@ -1,16 +1,16 @@
-"""Protocol-agnostic client messages and authentication helpers.
+"""Protocol-agnostic client messages.
 
 Client traffic is authenticated with MAC vectors over pairwise session
-keys — the classic PBFT optimization every high-performance BFT
-implementation (including the paper's comparison framework) uses for the
-normal case; signatures are reserved for messages that third parties must
+keys, made and checked by the nodes' crypto contexts — the classic PBFT
+optimization every high-performance BFT implementation (including the
+paper's comparison framework) uses for the normal case; signatures are reserved for messages that third parties must
 be able to verify (view changes, gap agreement evidence, confirms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
@@ -76,26 +76,3 @@ class ClientReply:
 
     def wire_size(self) -> int:
         return 40 + len(self.result) + len(self.log_hash) + len(self.tag)
-
-
-def authenticate_request(pairwise, client_id: int, replica_ids: Sequence[int], request: ClientRequest, mac_fn) -> ClientRequest:
-    """Attach a MAC vector covering every replica to a request.
-
-    ``mac_fn(key, data) -> tag`` is the client's charged MAC primitive.
-    """
-    body = request.canonical()
-    vector = HmacVector(
-        tuple(
-            (rid, mac_fn(pairwise.key_between(client_id, rid), body))
-            for rid in replica_ids
-        )
-    )
-    return ClientRequest(request.client_id, request.request_id, request.op, vector)
-
-
-def verify_request(pairwise, replica_id: int, request: ClientRequest, verify_fn) -> bool:
-    """Replica-side check of the client's MAC-vector entry."""
-    if request.auth is None or not request.auth.has_entry(replica_id):
-        return False
-    key = pairwise.key_between(request.client_id, replica_id)
-    return verify_fn(key, request.canonical(), request.auth.tag_for(replica_id))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.digests import fields_digest
+from repro.protocols import adversary
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
 from repro.protocols.messages import ClientRequest, batch_digest
@@ -68,15 +69,11 @@ class MinBftReplica(BaseReplica):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto,
-        pairwise,
-        authority=None,
         batch_size: int = 10,
         **kwargs,
     ):
-        super().__init__(sim, replica_id, group, app, crypto, pairwise, **kwargs)
+        super().__init__(sim, replica_id, group, app, **kwargs)
         group.validate(min_factor=2)
-        self.authority = authority
         self.usig: Optional[Usig] = None  # needs the bound crypto context
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._send_prepare, max_batch=batch_size, max_outstanding=2
@@ -97,7 +94,7 @@ class MinBftReplica(BaseReplica):
 
     def init_usig(self) -> None:
         """Create the trusted component (after crypto binding)."""
-        self.usig = Usig(self.replica_id, self.authority, self.crypto)
+        self.usig = Usig(self.replica_id, self.crypto.authority, self.crypto)
 
     def _state(self, counter: int) -> _PrepareState:
         state = self.states.get(counter)
@@ -202,3 +199,22 @@ class MinBftReplica(BaseReplica):
             self.commit_batch(state.prepare.digest, state.prepare.batch)
             if self.is_leader and self.batcher.outstanding > 0:
                 self.batcher.batch_done()
+
+
+# ---------------------------------------------------------------------------
+# Adversary hooks. The USIG makes true equivocation impossible (the counter
+# binds one digest per UI), so the strongest primary attack is a
+# corrupt-digest prepare (stale UI over a different batch), which
+# receivers must reject; a withholder suppresses commits.
+# ---------------------------------------------------------------------------
+
+
+def _fork_prepare(replica, dst: int, message: MinBftPrepare) -> Optional[MinBftPrepare]:
+    forged_batch = adversary.conflicting_batch(message.batch)
+    if forged_batch is None:
+        return None
+    return replace(message, digest=batch_digest(forged_batch), batch=forged_batch)
+
+
+adversary.register_proposal_mutator(MinBftPrepare, _fork_prepare)
+adversary.register_vote_types(MinBftCommit)

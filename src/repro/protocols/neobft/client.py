@@ -19,10 +19,8 @@ class NeoBftClient(BaseClient):
 
     PROTO = "neobft"
 
-    def __init__(self, sim, name, group: ReplicaGroup, crypto, pairwise, **kwargs):
-        super().__init__(
-            sim, name, group, crypto, pairwise, reply_quorum=group.quorum, **kwargs
-        )
+    def __init__(self, sim, name, group: ReplicaGroup, **kwargs):
+        super().__init__(sim, name, group, reply_quorum=group.quorum, **kwargs)
         self.aom_sender: AomSenderLib = None  # installed by the builder
 
     def install_aom(self, sender_lib: AomSenderLib) -> None:

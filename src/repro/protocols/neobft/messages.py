@@ -17,6 +17,7 @@ from typing import Any, Optional, Tuple
 from repro.aom.messages import OrderingCertificate
 from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
+from repro.protocols import adversary
 
 _VIEW_ID = struct.Struct(">qq").pack
 
@@ -288,3 +289,7 @@ class SyncMessage:
 
     def wire_size(self) -> int:
         return 48 + sum(16 + 48 * len(cert) for _, cert in self.drops)
+
+
+# Adversary hook: a withholder suppresses gap-agreement votes.
+adversary.register_vote_types(GapPrepare, GapCommit, GapRecv, GapDrop)

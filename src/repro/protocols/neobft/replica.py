@@ -98,10 +98,6 @@ class NeoBftReplica(BaseReplica):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto,
-        pairwise,
-        config_service_addr: Optional[int] = None,
-        group_id: int = 1,
         sync_interval: int = 256,
         query_resend_ns: int = us(300),
         blocked_timeout_ns: int = ms(6),
@@ -109,10 +105,12 @@ class NeoBftReplica(BaseReplica):
         view_change_timeout_ns: int = ms(8),
         **kwargs,
     ):
-        super().__init__(sim, replica_id, group, app, crypto, pairwise, **kwargs)
+        super().__init__(sim, replica_id, group, app, **kwargs)
         group.validate(min_factor=3)
-        self.config_service_addr = config_service_addr
-        self.group_id = group_id
+        # The aom group and its configuration service (set by the cluster
+        # builder's aom wiring).
+        self.group_id: Optional[int] = None
+        self.config_service_addr: Optional[int] = None
         self.sync_interval = sync_interval
         self.query_resend_ns = query_resend_ns
         self.blocked_timeout_ns = blocked_timeout_ns
@@ -749,15 +747,14 @@ class NeoBftReplica(BaseReplica):
         sync = SyncMessage(self.view_id, self.address, boundary, drops)
         body = sync.signed_body()
         for peer in self.peers():
-            tag = self.crypto.mac(self.pairwise.key_between(self.address, peer), body)
+            tag = self.crypto.mac_to(peer, body)
             self.send(peer, SyncMessage(sync.view, sync.replica, sync.slot, sync.drops, tag))
         self._record_sync_vote(sync)
 
     def _on_sync(self, src: int, sync: SyncMessage) -> None:
         if sync.view != self.view_id or sync.replica != src:
             return
-        key = self.pairwise.key_between(self.address, src)
-        if not self.crypto.verify_mac(key, sync.signed_body(), sync.signature):
+        if not self.crypto.verify_mac_from(src, sync.signed_body(), sync.signature):
             return
         for slot, cert in sync.drops:
             self._apply_foreign_gap_cert(slot, cert)

@@ -6,13 +6,14 @@ signed (it must convince third parties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
-from repro.protocols.messages import ClientRequest
+from repro.protocols import adversary
+from repro.protocols.messages import ClientRequest, batch_digest
 
 
 @dataclass(frozen=True)
@@ -133,3 +134,23 @@ class PbftNewView:
         return 64 + sum(v.wire_size() for v in self.view_changes) + sum(
             p.wire_size() for p in self.pre_prepares
         )
+
+
+# ---------------------------------------------------------------------------
+# Adversary hooks: an equivocating primary forks the pre-prepare per
+# destination; a withholder suppresses prepares and commits.
+# ---------------------------------------------------------------------------
+
+
+def _fork_pre_prepare(replica, dst: int, message: PrePrepare) -> Optional[PrePrepare]:
+    forged_batch = adversary.conflicting_batch(message.batch)
+    if forged_batch is None:
+        return None
+    forged = PrePrepare(
+        message.view, message.seq, batch_digest(forged_batch), forged_batch
+    )
+    return replace(forged, auth=adversary.self_auth_for(replica, dst, forged.signed_body()))
+
+
+adversary.register_proposal_mutator(PrePrepare, _fork_pre_prepare)
+adversary.register_vote_types(Prepare, Commit)

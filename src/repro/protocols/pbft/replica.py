@@ -47,14 +47,12 @@ class PbftReplica(BaseReplica):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto,
-        pairwise,
         batch_size: int = 64,
         checkpoint_interval: int = 128,
         request_timeout_ns: int = ms(4),
         **kwargs,
     ):
-        super().__init__(sim, replica_id, group, app, crypto, pairwise, **kwargs)
+        super().__init__(sim, replica_id, group, app, **kwargs)
         group.validate(min_factor=3)
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._send_pre_prepare, max_batch=batch_size, max_outstanding=2
@@ -82,23 +80,12 @@ class PbftReplica(BaseReplica):
     def _mac_broadcast(self, message, body: bytes) -> None:
         """Attach a MAC vector for all peers and broadcast."""
         peers = self.peers()
-        vector_tags = tuple(
-            (rid, self.crypto.mac(self.pairwise.key_between(self.address, rid), body))
-            for rid in peers
-        )
-        from repro.crypto.hmacvec import HmacVector
-
-        authed = replace(message, auth=HmacVector(vector_tags))
+        authed = replace(message, auth=self.crypto.mac_vector(peers, body))
         for rid in peers:
             self.send(rid, authed)
 
     def _verify_mac(self, src: int, message) -> bool:
-        if message.auth is None or not message.auth.has_entry(self.address):
-            return False
-        key = self.pairwise.key_between(self.address, src)
-        return self.crypto.verify_mac(
-            key, message.signed_body(), message.auth.tag_for(self.address)
-        )
+        return self.crypto.verify_vector_from(src, message.signed_body(), message.auth)
 
     # ------------------------------------------------------------ dispatch
 

@@ -25,15 +25,11 @@ class ZyzzyvaClient(BaseClient):
         sim,
         name,
         group: ReplicaGroup,
-        crypto,
-        pairwise,
         spec_timeout_ns: int = us(80),
         **kwargs,
     ):
         kwargs.setdefault("retry_timeout_ns", 20_000_000)
-        super().__init__(
-            sim, name, group, crypto, pairwise, reply_quorum=group.fast_quorum, **kwargs
-        )
+        super().__init__(sim, name, group, reply_quorum=group.fast_quorum, **kwargs)
         self.spec_timeout_ns = spec_timeout_ns
         self._spec_timer = None
         self._local_commits: Dict[int, LocalCommit] = {}
@@ -121,8 +117,7 @@ class ZyzzyvaClient(BaseClient):
             return
         if ack.replica != src or src not in self.group.replica_addrs:
             return
-        key = self.pairwise.key_between(self.address, src)
-        if not self.crypto.verify_mac(key, ack.signed_body(), ack.auth_tag):
+        if not self.crypto.verify_mac_from(src, ack.signed_body(), ack.auth_tag):
             return
         self._local_commits[src] = ack
         if len(self._local_commits) >= self.group.quorum and self._commit_sent:

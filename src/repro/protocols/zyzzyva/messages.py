@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.crypto.digests import fields_digest
+from repro.crypto.digests import chain_step, fields_digest
 from repro.crypto.hmacvec import HmacVector
-from repro.protocols.messages import ClientRequest
+from repro.protocols import adversary
+from repro.protocols.messages import ClientRequest, batch_digest
 
 
 @dataclass(frozen=True)
@@ -102,3 +103,25 @@ class FillHole:
 
     view: int
     seq: int
+
+
+# ---------------------------------------------------------------------------
+# Adversary hooks: an equivocating primary forks the order-req (history
+# chain re-derived from the fork); a withholder suppresses local commits.
+# ---------------------------------------------------------------------------
+
+
+def _fork_order_req(replica, dst: int, message: OrderReq) -> Optional[OrderReq]:
+    forged_batch = adversary.conflicting_batch(message.batch)
+    if forged_batch is None:
+        return None
+    digest = batch_digest(forged_batch)
+    forged = OrderReq(
+        message.view, message.seq, chain_step(message.history, digest),
+        digest, forged_batch,
+    )
+    return replace(forged, auth=adversary.self_auth_for(replica, dst, forged.signed_body()))
+
+
+adversary.register_proposal_mutator(OrderReq, _fork_order_req)
+adversary.register_vote_types(LocalCommit)

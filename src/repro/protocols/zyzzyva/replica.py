@@ -24,10 +24,6 @@ class ZyzzyvaReplica(BaseReplica):
     Log slot ``seq`` holds the primary's ``OrderReq`` for that sequence
     number as its evidence (the primary serves fill-hole from it), and the
     log's chain head is the Zyzzyva history digest.
-
-    ``silent`` makes the replica drop every message — the Zyzzyva-F
-    configuration of Figure 7 (a crashed/non-responding Byzantine node
-    that forces every request onto the two-phase client path).
     """
 
     PROTO = "zyzzyva"
@@ -38,15 +34,11 @@ class ZyzzyvaReplica(BaseReplica):
         replica_id: int,
         group: ReplicaGroup,
         app,
-        crypto,
-        pairwise,
         batch_size: int = 10,
-        silent: bool = False,
         **kwargs,
     ):
-        super().__init__(sim, replica_id, group, app, crypto, pairwise, **kwargs)
+        super().__init__(sim, replica_id, group, app, **kwargs)
         group.validate(min_factor=3)
-        self.silent = silent
         self.batcher: TimedBatcher[ClientRequest] = TimedBatcher(
             self, self._send_order_req, max_batch=batch_size, flush_after_ns=30_000
         )
@@ -56,8 +48,6 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------ dispatch
 
     def on_message(self, src: int, message: object) -> None:
-        if self.silent:
-            return
         if isinstance(message, ClientRequest):
             self.on_client_request(message)
         elif isinstance(message, OrderReq):
@@ -77,15 +67,8 @@ class ZyzzyvaReplica(BaseReplica):
         new_history = chain_step(self.log.head_hash(), digest)
         order = OrderReq(self.view, seq, new_history, digest, tuple(batch))
         peers = self.peers()
-        from repro.crypto.hmacvec import HmacVector
-
-        tags = tuple(
-            (rid, self.crypto.mac(self.pairwise.key_between(self.address, rid),
-                                  order.signed_body()))
-            for rid in peers
-        )
         authed = OrderReq(order.view, order.seq, order.history, order.digest,
-                          order.batch, HmacVector(tags))
+                          order.batch, self.crypto.mac_vector(peers, order.signed_body()))
         for rid in peers:
             self.send(rid, authed)
         self._apply_order(order)
@@ -93,10 +76,7 @@ class ZyzzyvaReplica(BaseReplica):
     def _on_order_req(self, src: int, order: OrderReq) -> None:
         if order.view != self.view or src != self.leader_addr:
             return
-        if order.auth is None or not order.auth.has_entry(self.address):
-            return
-        key = self.pairwise.key_between(self.address, src)
-        if not self.crypto.verify_mac(key, order.signed_body(), order.auth.tag_for(self.address)):
+        if not self.crypto.verify_vector_from(src, order.signed_body(), order.auth):
             return
         self.charge(self.cost.sha256_ns * (len(order.batch) + 1))
         if batch_digest(order.batch) != order.digest:
@@ -154,9 +134,7 @@ class ZyzzyvaReplica(BaseReplica):
             request_id=commit.request_id,
             seq=commit.seq,
         )
-        tag = self.crypto.mac(
-            self.pairwise.key_between(self.address, commit.client_id), ack.signed_body()
-        )
+        tag = self.crypto.mac_to(commit.client_id, ack.signed_body())
         self.send(
             commit.client_id,
             LocalCommit(ack.view, ack.replica, ack.client_id, ack.request_id, ack.seq, tag),
@@ -169,9 +147,5 @@ class ZyzzyvaReplica(BaseReplica):
         if entry is None:
             return
         order = entry.evidence
-        peers_key = self.pairwise.key_between(self.address, src)
-        from repro.crypto.hmacvec import HmacVector
-
-        tag = self.crypto.mac(peers_key, order.signed_body())
         self.send(src, OrderReq(order.view, order.seq, order.history, order.digest,
-                                order.batch, HmacVector(((src, tag),))))
+                                order.batch, self.crypto.mac_vector((src,), order.signed_body())))

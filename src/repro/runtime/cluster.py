@@ -14,30 +14,64 @@ Protocol names accepted by :func:`build_cluster`:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.aom.config import AomConfigService
-from repro.aom.messages import AomConfig, AuthVariant, NetworkFaultModel
-from repro.aom.receiver import AomReceiverLib
-from repro.aom.sender import AomSenderLib
 from repro.apps.statemachine import EchoApp, StateMachine
-from repro.crypto.backend import CryptoContext, KeyAuthority, make_authority
+from repro.crypto.backend import CryptoContext, FastBackend, KeyAuthority
 from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.crypto.hmacvec import PairwiseKeys
 from repro.net.fabric import Fabric
 from repro.net.profiles import NetworkProfile
 from repro.protocols.base import BaseClient, BaseReplica, ReplicaGroup
 from repro.sim.engine import Simulator
 
+if TYPE_CHECKING:
+    from repro.aom.config import AomConfigService
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the builder's table: a protocol's classes and sizing.
+
+    The classes are named, not imported, so building one family loads no
+    other (and only NeoBFT loads aom and the switch models).
+    """
+
+    module: str  # package exporting both classes
+    replica: str
+    client: str
+    batch_size: Optional[int]  # default batch cap; None: the family has no batcher
+    replica_factor: int  # n = replica_factor * f + 1; 0 is a single server
+
+
+# Batch defaults follow each paper's own batching regime: PBFT/Zyzzyva/
+# MinBFT cap modest batches (latency-conscious), HotStuff uses large
+# batches to amortize its threshold-crypto cost (the paper notes pushing
+# it further trades >10 ms latency for throughput).
+_NEOBFT = Family("repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3)
+FAMILIES: Dict[str, Family] = {
+    "neobft-hm": _NEOBFT,
+    "neobft-pk": _NEOBFT,
+    "neobft-bn": _NEOBFT,
+    "pbft": Family("repro.protocols.pbft", "PbftReplica", "PbftClient", 6, 3),
+    "zyzzyva": Family("repro.protocols.zyzzyva", "ZyzzyvaReplica", "ZyzzyvaClient", 10, 3),
+    "hotstuff": Family("repro.protocols.hotstuff", "HotStuffReplica", "HotStuffClient", 150, 3),
+    "minbft": Family("repro.protocols.minbft", "MinBftReplica", "MinBftClient", 10, 2),
+    "unreplicated": Family(
+        "repro.protocols.unreplicated", "UnreplicatedServer", "UnreplicatedClient", None, 0
+    ),
+}
 NEOBFT_PROTOCOLS = ("neobft-hm", "neobft-pk", "neobft-bn")
-ALL_PROTOCOLS = NEOBFT_PROTOCOLS + (
-    "pbft",
-    "zyzzyva",
-    "hotstuff",
-    "minbft",
-    "unreplicated",
-)
+ALL_PROTOCOLS = tuple(FAMILIES)
+
+
+def family_of(protocol: str) -> Family:
+    """The table row for ``protocol``; rejects an unknown name."""
+    family = FAMILIES.get(protocol)
+    if family is None:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return family
 
 
 @dataclass
@@ -52,7 +86,6 @@ class ClusterOptions:
     seed: int = 1
     profile: Optional[NetworkProfile] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
-    crypto_backend: str = "fast"
     batch_size: Optional[int] = None  # None = per-protocol default
     group_id: int = 1
     replica_kwargs: Dict = field(default_factory=dict)
@@ -60,23 +93,14 @@ class ClusterOptions:
     aom_kwargs: Dict = field(default_factory=dict)
 
     def resolved_batch(self, protocol_default: int) -> int:
-        """Batch cap: explicit option wins, else the protocol's default.
-
-        Defaults follow each paper's own batching regime: PBFT/Zyzzyva/
-        MinBFT cap modest batches (latency-conscious), HotStuff uses large
-        batches to amortize its threshold-crypto cost (the paper notes
-        pushing it further trades >10 ms latency for throughput).
-        """
+        """Batch cap: explicit option wins, else the protocol's default."""
         return self.batch_size if self.batch_size is not None else protocol_default
 
     def resolved_replicas(self) -> int:
+        """Replica count: explicit option wins, else the family's minimum."""
         if self.num_replicas is not None:
             return self.num_replicas
-        if self.protocol == "minbft":
-            return 2 * self.f + 1
-        if self.protocol == "unreplicated":
-            return 1
-        return 3 * self.f + 1
+        return family_of(self.protocol).replica_factor * self.f + 1
 
 
 @dataclass
@@ -87,11 +111,10 @@ class Cluster:
     sim: Simulator
     fabric: Fabric
     authority: KeyAuthority
-    pairwise: PairwiseKeys
     group: ReplicaGroup
     replicas: List[BaseReplica]
     clients: List[BaseClient]
-    config_service: Optional[AomConfigService] = None
+    config_service: Optional["AomConfigService"] = None
 
     def replica_by_id(self, replica_id: int) -> BaseReplica:
         """The replica with logical id ``replica_id``."""
@@ -99,25 +122,66 @@ class Cluster:
 
 
 def build_cluster(options: ClusterOptions) -> Cluster:
-    """Assemble a system for ``options.protocol``."""
-    if options.protocol not in ALL_PROTOCOLS:
-        raise ValueError(f"unknown protocol {options.protocol!r}")
+    """Assemble a system for ``options.protocol``.
+
+    Attach order fixes every address: replicas 0..n-1, then NeoBFT's aom
+    configuration service, then the clients. Each node gets a crypto
+    context bound to its address, CPU and counters. ``replica_kwargs``
+    may name ``silent_replicas``: replica ids muted from the start with
+    :func:`repro.faults.behaviors.make_silent` (Zyzzyva-F in Figure 7).
+    """
+    family = family_of(options.protocol)
+    module = importlib.import_module(family.module)
+    replica_cls, client_cls = getattr(module, family.replica), getattr(module, family.client)
     sim = Simulator(seed=options.seed)
     fabric = Fabric(sim, options.profile)
-    authority = make_authority(options.crypto_backend)
-    pairwise = PairwiseKeys(b"cluster-bootstrap/%d" % options.seed)
+    authority = KeyAuthority(FastBackend(), b"cluster-bootstrap/%d" % options.seed)
     n = options.resolved_replicas()
+    # An unreplicated server tolerates no fault.
+    group = ReplicaGroup(tuple(range(n)), options.f if family.replica_factor else 0)
 
-    # Replica addresses are 0..n-1 (attached first, in order).
-    builder = _PROTOCOL_BUILDERS[options.protocol]
-    cluster = builder(options, sim, fabric, authority, pairwise, n)
-    for client in cluster.clients:
-        client.on_complete = None  # harness installs measurement hooks
-    return cluster
+    replica_kwargs = dict(options.replica_kwargs)
+    silent = replica_kwargs.pop("silent_replicas", ())
+    if family.batch_size is not None:
+        replica_kwargs["batch_size"] = options.resolved_batch(family.batch_size)
+    replicas = []
+    for rid in range(n):
+        replica = replica_cls(
+            sim, rid, group, options.app_factory(),
+            cost_model=options.cost_model, **replica_kwargs,
+        )
+        replica.attach(fabric, rid)
+        replica.crypto = _bind_crypto(replica, authority, options.cost_model)
+        if options.protocol == "minbft":
+            replica.init_usig()
+        replicas.append(replica)
+    if silent:
+        from repro.faults.behaviors import make_silent
 
+        for rid in silent:
+            make_silent(replicas[rid])
 
-def _make_group(n: int, f: int) -> ReplicaGroup:
-    return ReplicaGroup(replica_addrs=tuple(range(n)), f=f)
+    service = None
+    if options.protocol in NEOBFT_PROTOCOLS:
+        service = _wire_aom_receivers(options, sim, fabric, authority, replicas)
+
+    clients = []
+    for i in range(options.num_clients):
+        client = client_cls(
+            sim, f"client-{i}", group, cost_model=options.cost_model, **options.client_kwargs
+        )
+        client.attach(fabric)
+        client.crypto = _bind_crypto(client, authority, options.cost_model)
+        if service is not None:
+            from repro.aom.sender import AomSenderLib
+
+            client.install_aom(AomSenderLib(client, options.group_id, client.crypto))
+        clients.append(client)
+
+    return Cluster(
+        options=options, sim=sim, fabric=fabric, authority=authority, group=group,
+        replicas=replicas, clients=clients, config_service=service,
+    )
 
 
 def _bind_crypto(endpoint, authority, cost_model) -> CryptoContext:
@@ -125,13 +189,13 @@ def _bind_crypto(endpoint, authority, cost_model) -> CryptoContext:
     return CryptoContext(endpoint.address, authority, cost_model).bind(endpoint)
 
 
-# ---------------------------------------------------------------------------
-# NeoBFT family
-# ---------------------------------------------------------------------------
-
-
-def _build_neobft(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.neobft import NeoBftClient, NeoBftReplica
+def _wire_aom_receivers(options, sim, fabric, authority, replicas) -> "AomConfigService":
+    """Attach the aom configuration service and give each NeoBFT replica
+    its receiver library in one group (hm, pk, or hm with confirms)."""
+    from repro.aom.config import AomConfigService
+    from repro.aom.messages import AomConfig, AuthVariant, NetworkFaultModel
+    from repro.aom.receiver import AomReceiverLib
+    from repro.protocols.messages import ClientRequest
 
     variant = AuthVariant.PUBKEY if options.protocol == "neobft-pk" else AuthVariant.HMAC
     fault_model = (
@@ -139,31 +203,12 @@ def _build_neobft(options, sim, fabric, authority, pairwise, n) -> Cluster:
         if options.protocol == "neobft-bn"
         else NetworkFaultModel.CRASH
     )
-    group = _make_group(n, options.f)
     aom_config = AomConfig(
         group_id=options.group_id,
         variant=variant,
         network_fault_model=fault_model,
         confirm_fault_bound=options.f,
     )
-
-    replicas: List[NeoBftReplica] = []
-    for rid in range(n):
-        replica = NeoBftReplica(
-            sim,
-            rid,
-            group,
-            options.app_factory(),
-            crypto=None,  # bound after attach (identity = address)
-            pairwise=pairwise,
-            group_id=options.group_id,
-            cost_model=options.cost_model,
-            **options.replica_kwargs,
-        )
-        replica.attach(fabric, rid)
-        replica.crypto = _bind_crypto(replica, authority, options.cost_model)
-        replicas.append(replica)
-
     service = AomConfigService(
         sim,
         fabric,
@@ -174,117 +219,18 @@ def _build_neobft(options, sim, fabric, authority, pairwise, n) -> Cluster:
     )
     service.attach(fabric)
     for replica in replicas:
+        replica.group_id = options.group_id
         replica.config_service_addr = service.address
-        from repro.protocols.messages import ClientRequest
-
         lib = AomReceiverLib(
             host=replica,
             config=aom_config,
             crypto=replica.crypto,
             deliver=replica.on_aom_deliver,
             deliver_drop=replica.on_aom_drop,
-            pairwise=pairwise if fault_model == NetworkFaultModel.BYZANTINE else None,
             on_stuck=replica.on_sequencer_stuck,
             payload_binding=lambda p: p.canonical() if isinstance(p, ClientRequest) else None,
         )
         replica.install_aom(lib)
         service.register_receiver_lib(options.group_id, replica.address, lib)
     service.create_group(aom_config, [r.address for r in replicas])
-
-    clients: List[NeoBftClient] = []
-    for i in range(options.num_clients):
-        client = NeoBftClient(
-            sim, f"client-{i}", group, crypto=None, pairwise=pairwise,
-            cost_model=options.cost_model, **options.client_kwargs,
-        )
-        client.attach(fabric)
-        client.crypto = _bind_crypto(client, authority, options.cost_model)
-        client.install_aom(
-            AomSenderLib(client, options.group_id, client.crypto)
-        )
-        clients.append(client)
-
-    return Cluster(
-        options=options,
-        sim=sim,
-        fabric=fabric,
-        authority=authority,
-        pairwise=pairwise,
-        group=group,
-        replicas=replicas,
-        clients=clients,
-        config_service=service,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Unreplicated
-# ---------------------------------------------------------------------------
-
-
-def _build_unreplicated(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.unreplicated import UnreplicatedClient, UnreplicatedServer
-
-    group = ReplicaGroup(replica_addrs=(0,), f=0)
-    server = UnreplicatedServer(
-        sim, group, options.app_factory(), crypto=None, pairwise=pairwise,
-        cost_model=options.cost_model,
-    )
-    server.attach(fabric, 0)
-    server.crypto = _bind_crypto(server, authority, options.cost_model)
-
-    clients = []
-    for i in range(options.num_clients):
-        client = UnreplicatedClient(
-            sim, f"client-{i}", group, crypto=None, pairwise=pairwise,
-            cost_model=options.cost_model, **options.client_kwargs,
-        )
-        client.attach(fabric)
-        client.crypto = _bind_crypto(client, authority, options.cost_model)
-        clients.append(client)
-
-    return Cluster(
-        options=options, sim=sim, fabric=fabric, authority=authority,
-        pairwise=pairwise, group=group, replicas=[server], clients=clients,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Leader-based baselines (wired in their own modules)
-# ---------------------------------------------------------------------------
-
-
-def _build_pbft(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.pbft.build import build as build_pbft
-
-    return build_pbft(options, sim, fabric, authority, pairwise, n)
-
-
-def _build_zyzzyva(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.zyzzyva.build import build as build_zyzzyva
-
-    return build_zyzzyva(options, sim, fabric, authority, pairwise, n)
-
-
-def _build_hotstuff(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.hotstuff.build import build as build_hotstuff
-
-    return build_hotstuff(options, sim, fabric, authority, pairwise, n)
-
-
-def _build_minbft(options, sim, fabric, authority, pairwise, n) -> Cluster:
-    from repro.protocols.minbft.build import build as build_minbft
-
-    return build_minbft(options, sim, fabric, authority, pairwise, n)
-
-
-_PROTOCOL_BUILDERS = {
-    "neobft-hm": _build_neobft,
-    "neobft-pk": _build_neobft,
-    "neobft-bn": _build_neobft,
-    "pbft": _build_pbft,
-    "zyzzyva": _build_zyzzyva,
-    "hotstuff": _build_hotstuff,
-    "minbft": _build_minbft,
-    "unreplicated": _build_unreplicated,
-}
+    return service

@@ -16,7 +16,6 @@ from repro.aom.messages import (
 )
 from repro.crypto.backend import CryptoContext, make_authority
 from repro.crypto.costmodel import CostModel
-from repro.crypto.hmacvec import PairwiseKeys
 from repro.net import Fabric
 from repro.net.endpoint import Endpoint
 from repro.sim import Simulator
@@ -66,7 +65,6 @@ class AomRig:
         self.fabric = Fabric(self.sim, profile)
         self.authority = make_authority("fast")
         self.cost = CostModel()
-        self.pairwise = PairwiseKeys(b"rig")
         self.config = AomConfig(
             group_id=GROUP_ID, variant=variant, network_fault_model=fault_model
         )
@@ -79,7 +77,6 @@ class AomRig:
             self.sim, self.fabric, self.authority, **(aom_kwargs or {})
         )
         self.service.attach(self.fabric)
-        byzantine = fault_model == NetworkFaultModel.BYZANTINE
         for host in self.receivers:
             ctx = CryptoContext(host.address, self.authority, self.cost).bind(host)
             host.lib = AomReceiverLib(
@@ -88,7 +85,6 @@ class AomRig:
                 ctx,
                 deliver=self._deliver_hook(host),
                 deliver_drop=self._drop_hook(host),
-                pairwise=self.pairwise if byzantine else None,
                 **(lib_kwargs or {}),
             )
             self.service.register_receiver_lib(GROUP_ID, host.address, host.lib)

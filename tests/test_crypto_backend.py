@@ -19,13 +19,7 @@ from repro.crypto.digests import (
     fields_digest,
     sha256_digest,
 )
-from repro.crypto.hmacvec import (
-    HmacVector,
-    PairwiseKeys,
-    compute_hmac,
-    make_hmac_vector,
-    verify_hmac_entry,
-)
+from repro.crypto.hmacvec import HmacVector, sim_mac
 
 
 @pytest.fixture(params=["fast", "real"])
@@ -108,7 +102,7 @@ class TestCostAccounting:
 
     def test_mac_charges_hmac_cost(self):
         ctx, charges, cost = self.make_context()
-        ctx.mac(b"k" * 8, b"data")
+        ctx.mac_to(8, b"data")
         assert charges == [cost.hmac_ns]
 
     def test_digest_charges_sha_cost(self):
@@ -244,54 +238,111 @@ class TestDigestHelpers:
         assert cp.count == 2
 
 
+SESSION_AUTHORITY = KeyAuthority(FastBackend(), b"boot")
+
+
+def session_context(node_id: int, charge=None) -> CryptoContext:
+    """A context for ``node_id`` under the shared test authority."""
+    return CryptoContext(node_id, SESSION_AUTHORITY, CostModel(), charge)
+
+
 class TestHmacVectors:
     KEYS = [(i, bytes([i]) * 8) for i in range(4)]
 
+    @staticmethod
+    def make_vector(keys, data):
+        return HmacVector(tuple((rid, sim_mac(key, data)) for rid, key in keys))
+
     def test_vector_verifies_per_receiver(self):
-        vector = make_hmac_vector(self.KEYS, b"msg")
+        vector = self.make_vector(self.KEYS, b"msg")
         for rid, key in self.KEYS:
-            assert verify_hmac_entry(vector, rid, key, b"msg")
+            assert vector.tag_for(rid) == sim_mac(key, b"msg")
 
     def test_wrong_key_fails(self):
-        vector = make_hmac_vector(self.KEYS, b"msg")
-        assert not verify_hmac_entry(vector, 0, b"\x99" * 8, b"msg")
+        vector = self.make_vector(self.KEYS, b"msg")
+        assert vector.tag_for(0) != sim_mac(b"\x99" * 8, b"msg")
 
     def test_missing_receiver_fails(self):
-        vector = make_hmac_vector(self.KEYS, b"msg")
-        assert not verify_hmac_entry(vector, 42, b"\x00" * 8, b"msg")
+        vector = self.make_vector(self.KEYS, b"msg")
+        assert not vector.has_entry(42)
         with pytest.raises(KeyError):
             vector.tag_for(42)
 
     def test_merge_partial_vectors(self):
-        first = make_hmac_vector(self.KEYS[:2], b"msg")
-        second = make_hmac_vector(self.KEYS[2:], b"msg")
+        first = self.make_vector(self.KEYS[:2], b"msg")
+        second = self.make_vector(self.KEYS[2:], b"msg")
         merged = first.merge(second)
         assert merged.receivers() == [0, 1, 2, 3]
         for rid, key in self.KEYS:
-            assert verify_hmac_entry(merged, rid, key, b"msg")
+            assert merged.tag_for(rid) == sim_mac(key, b"msg")
 
     def test_merge_dedupes(self):
-        vector = make_hmac_vector(self.KEYS, b"msg")
+        vector = self.make_vector(self.KEYS, b"msg")
         assert len(vector.merge(vector).tags) == len(vector.tags)
 
     def test_wire_size_scales_with_entries(self):
-        small = make_hmac_vector(self.KEYS[:1], b"m")
-        large = make_hmac_vector(self.KEYS, b"m")
+        small = self.make_vector(self.KEYS[:1], b"m")
+        large = self.make_vector(self.KEYS, b"m")
         assert large.wire_size() == 4 * small.wire_size()
 
 
 class TestPairwiseKeys:
     def test_symmetric(self):
-        keys = PairwiseKeys(b"boot")
-        assert keys.key_between(1, 2) == keys.key_between(2, 1)
+        assert SESSION_AUTHORITY.session_key(1, 2) == SESSION_AUTHORITY.session_key(2, 1)
+        # Either end of a pair makes the tag the other end checks.
+        assert session_context(1).mac_to(2, b"m") == session_context(2).mac_to(1, b"m")
 
     def test_distinct_pairs(self):
-        keys = PairwiseKeys(b"boot")
-        assert keys.key_between(1, 2) != keys.key_between(1, 3)
+        assert SESSION_AUTHORITY.session_key(1, 2) != SESSION_AUTHORITY.session_key(1, 3)
+        assert session_context(1).mac_to(2, b"m") != session_context(1).mac_to(3, b"m")
 
     def test_authenticate_and_verify(self):
-        keys = PairwiseKeys(b"boot")
-        vector = keys.authenticate(0, [1, 2, 3], b"payload")
+        vector = session_context(0).mac_vector([1, 2, 3], b"payload")
         for receiver in (1, 2, 3):
-            assert keys.verify(0, receiver, b"payload", vector)
-        assert not keys.verify(0, 1, b"tampered", vector)
+            assert session_context(receiver).verify_vector_from(0, b"payload", vector)
+        assert not session_context(1).verify_vector_from(0, b"tampered", vector)
+        # Another sender's keys do not verify.
+        assert not session_context(1).verify_vector_from(2, b"payload", vector)
+
+    def test_keys_match_the_bootstrap_derivation(self):
+        # A pair's key is the first 8 bytes of
+        # SHA-256(secret || min id || max id), 4-byte big-endian ids.
+        expected = sha256_digest(b"boot" + (1).to_bytes(4, "big") + (2).to_bytes(4, "big"))[:8]
+        assert SESSION_AUTHORITY.session_key(2, 1) == expected
+
+
+class TestContextMacs:
+    def test_vector_charges_and_counts_one_mac_per_peer_in_order(self):
+        charges = []
+        ctx = session_context(0, charges.append)
+        vector = ctx.mac_vector([3, 1, 2], b"body")
+        assert vector.receivers() == [3, 1, 2]
+        assert charges == [CostModel().hmac_ns] * 3
+        assert ctx.op_counts == {"mac": 3}
+        for peer in (3, 1, 2):
+            assert vector.tag_for(peer) == session_context(0).mac_to(peer, b"body")
+
+    def test_vector_without_my_entry_fails_free(self):
+        vector = session_context(0).mac_vector([1, 2], b"body")
+        charges = []
+        ctx = session_context(3, charges.append)
+        assert not ctx.verify_vector_from(0, b"body", vector)
+        assert not ctx.verify_vector_from(0, b"body", None)
+        assert charges == []
+        assert ctx.op_counts == {}
+
+    def test_single_tag_roundtrip_and_tamper(self):
+        tag = session_context(4).mac_to(5, b"reply")
+        assert session_context(5).verify_mac_from(4, b"reply", tag)
+        assert not session_context(5).verify_mac_from(4, b"replx", tag)
+        assert not session_context(6).verify_mac_from(4, b"reply", tag)
+
+    def test_every_check_charges_one_mac(self):
+        charges = []
+        ctx = session_context(1, charges.append)
+        tag = session_context(0).mac_to(1, b"m")
+        vector = session_context(0).mac_vector([1], b"m")
+        assert ctx.verify_mac_from(0, b"m", tag)
+        assert not ctx.verify_vector_from(0, b"x", vector)
+        assert charges == [CostModel().hmac_ns] * 2
+        assert ctx.op_counts == {"mac": 2}

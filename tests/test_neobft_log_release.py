@@ -120,9 +120,8 @@ class TestReleasedSlotsFromPeers:
         query_timer = replica._query_timer = replica.set_timer(ms(50), lambda: None)
         # The state sync path: a peer's sync message carries the drop.
         sync = SyncMessage(peer.view_id, peer.address, peer._last_sync_slot, ((slot, cert),))
-        key = peer.pairwise.key_between(peer.address, replica.address)
         sync = SyncMessage(sync.view, sync.replica, sync.slot, sync.drops,
-                           peer.crypto.mac(key, sync.signed_body()))
+                           peer.crypto.mac_to(replica.address, sync.signed_body()))
         deliver(cluster, replica, peer.address, sync)
         assert replica._gap_certs[slot] == cert
         assert snapshot(replica) == before

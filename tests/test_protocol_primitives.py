@@ -3,17 +3,12 @@ client message authentication."""
 
 import pytest
 
+from repro.crypto.backend import CryptoContext, make_authority
+from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
-from repro.crypto.hmacvec import PairwiseKeys
-from repro.crypto.siphash import halfsiphash24
 from repro.protocols.batching import Batcher, TimedBatcher
 from repro.protocols.log import EntryKind, LogEntry, NOOP_DIGEST, ReplicaLog
-from repro.protocols.messages import (
-    ClientReply,
-    ClientRequest,
-    authenticate_request,
-    verify_request,
-)
+from repro.protocols.messages import ClientReply, ClientRequest
 
 
 def request_entry(tag: bytes) -> LogEntry:
@@ -263,33 +258,39 @@ class TestTimedBatcher:
 
 
 class TestClientMessageAuth:
-    def setup_method(self):
-        self.pairwise = PairwiseKeys(b"test")
-        self.mac = lambda key, data: halfsiphash24(key[:8].ljust(8, b"\0"), data)
+    """Clients MAC a request for every replica; each replica checks its entry."""
 
-    def verify_fn(self, key, data, tag):
-        return self.mac(key, data) == tag
+    def setup_method(self):
+        self.authority = make_authority("fast", b"test")
+
+    def context(self, node_id):
+        return CryptoContext(node_id, self.authority, CostModel())
+
+    def authenticate(self, request, replicas):
+        vector = self.context(request.client_id).mac_vector(replicas, request.canonical())
+        return ClientRequest(request.client_id, request.request_id, request.op, vector)
+
+    def verify(self, replica, request):
+        return self.context(replica).verify_vector_from(
+            request.client_id, request.canonical(), request.auth
+        )
 
     def test_request_roundtrip(self):
-        request = ClientRequest(100, 1, b"op")
-        authed = authenticate_request(self.pairwise, 100, [0, 1, 2, 3], request, self.mac)
+        authed = self.authenticate(ClientRequest(100, 1, b"op"), [0, 1, 2, 3])
         for replica in range(4):
-            assert verify_request(self.pairwise, replica, authed, self.verify_fn)
+            assert self.verify(replica, authed)
 
     def test_tampered_op_rejected(self):
-        request = ClientRequest(100, 1, b"op")
-        authed = authenticate_request(self.pairwise, 100, [0, 1], request, self.mac)
+        authed = self.authenticate(ClientRequest(100, 1, b"op"), [0, 1])
         tampered = ClientRequest(100, 1, b"oq", authed.auth)
-        assert not verify_request(self.pairwise, 0, tampered, self.verify_fn)
+        assert not self.verify(0, tampered)
 
     def test_unauthenticated_rejected(self):
-        request = ClientRequest(100, 1, b"op")
-        assert not verify_request(self.pairwise, 0, request, self.verify_fn)
+        assert not self.verify(0, ClientRequest(100, 1, b"op"))
 
     def test_uncovered_replica_rejected(self):
-        request = ClientRequest(100, 1, b"op")
-        authed = authenticate_request(self.pairwise, 100, [0, 1], request, self.mac)
-        assert not verify_request(self.pairwise, 3, authed, self.verify_fn)
+        authed = self.authenticate(ClientRequest(100, 1, b"op"), [0, 1])
+        assert not self.verify(3, authed)
 
     def test_reply_match_key_fields(self):
         a = ClientReply(view=1, replica=0, request_id=5, result=b"r", slot=9, log_hash=b"h")

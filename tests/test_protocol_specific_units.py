@@ -5,7 +5,7 @@ checkpoints, unreplicated at-most-once."""
 import pytest
 
 from repro.faults.network import drop_fraction_for
-from repro.protocols.messages import ClientRequest, authenticate_request
+from repro.protocols.messages import ClientRequest
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim.clock import ms
 
@@ -195,12 +195,10 @@ class TestUnreplicated:
         server, client = cluster.replicas[0], cluster.clients[0]
         assert client.completions > 1
         executed = server.metrics.get("ops_executed")
-        stale = authenticate_request(
-            client.pairwise,
-            client.address,
-            client.group.replica_addrs,
-            ClientRequest(client.address, 1, b"stale"),
-            client.crypto.mac,
+        body = ClientRequest(client.address, 1, b"stale").canonical()
+        stale = ClientRequest(
+            client.address, 1, b"stale",
+            client.crypto.mac_vector(client.group.replica_addrs, body),
         )
         client.execute_now(client.send, server.address, stale)
         cluster.sim.run_for(ms(1))

@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import repro
-
+from repro.aom.messages import Confirm, ConfirmBatch
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.runtime.cluster import ALL_PROTOCOLS
 from repro.runtime.harness import (
@@ -57,9 +58,32 @@ class TestBuildCluster:
             assert replica.aom_lib.epoch == 1
 
     def test_bn_mode_gets_pairwise_confirms(self):
-        cluster = build_cluster(ClusterOptions(protocol="neobft-bn"))
+        cluster = build_cluster(ClusterOptions(protocol="neobft-bn", num_clients=2))
+        heard = {replica.address: set() for replica in cluster.replicas}
         for replica in cluster.replicas:
-            assert replica.aom_lib.pairwise is not None
+            def note(src, message, _heard=heard[replica.address]):
+                if isinstance(message, ConfirmBatch):
+                    _heard.add(src)
+                return message
+
+            replica.add_receive_interposer(note)
+        run = Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(2)).run()
+        # Every replica sends confirms to every other; delivery needs a
+        # 2f+1 confirm quorum, so completions show the peers' tags verified.
+        assert run.completions > 0
+        for replica in cluster.replicas:
+            assert heard[replica.address] == set(replica.peers())
+
+        # A peer's confirm counts only if my entry in its vector verifies.
+        lib, peer = cluster.replicas[0].aom_lib, cluster.replicas[1]
+        sequence = lib.next_seq + 100  # far ahead: recorded, never delivered
+        body = Confirm(1, lib.epoch, sequence, b"d" * 32, peer.address, None)
+        receivers = [0, 2, 3]
+        good = replace(body, auth=peer.crypto.mac_vector(receivers, body.signed_body()))
+        forged = replace(body, digest=b"e" * 32, auth=good.auth)
+        for confirm in (forged, good):
+            lib.on_confirm(confirm, peer.address)
+        assert set(lib._confirms[sequence]) == {b"d" * 32}
 
 
 class TestMeasurement:
@@ -155,3 +179,40 @@ class TestParallelSweep:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+FAMILIES = ("neobft", "pbft", "zyzzyva", "hotstuff", "minbft", "unreplicated")
+
+
+def modules_loaded_by(statement):
+    """``repro`` modules a fresh interpreter holds after ``statement``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        f"import sys; {statement}; "
+        "print(' '.join(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(out.stdout.split())
+
+
+class TestLazyImports:
+    def test_faults_load_no_protocol_family(self):
+        loaded = modules_loaded_by("import repro.faults")
+        assert "repro.protocols.adversary" in loaded
+        assert not {f"repro.protocols.{family}" for family in FAMILIES} & loaded
+
+    def test_pbft_build_loads_only_its_own_family(self):
+        loaded = modules_loaded_by(
+            "from repro.runtime import ClusterOptions, build_cluster; "
+            "build_cluster(ClusterOptions(protocol='pbft'))"
+        )
+        assert "repro.protocols.pbft" in loaded
+        others = {f"repro.protocols.{family}" for family in FAMILIES if family != "pbft"}
+        assert not others & loaded
+        assert not {m for m in loaded if m.split(".")[1] in ("aom", "switchfab")}

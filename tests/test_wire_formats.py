@@ -124,9 +124,9 @@ class TestWireSizes:
         assert batch > empty + 10 * 20
 
     def test_cert_size_includes_vector(self):
-        from repro.crypto.hmacvec import make_hmac_vector
+        from repro.crypto.hmacvec import HmacVector, sim_mac
 
-        vector = make_hmac_vector([(i, bytes([i]) * 8) for i in range(8)], b"m")
+        vector = HmacVector(tuple((i, sim_mac(bytes([i]) * 8, b"m")) for i in range(8)))
         cert = OrderingCertificate(1, 1, 1, b"d" * 32, None, 0, AuthVariant.HMAC,
                                    hm_vector=vector)
         bare = OrderingCertificate(1, 1, 1, b"d" * 32, None, 0, AuthVariant.HMAC)
