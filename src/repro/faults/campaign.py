@@ -21,7 +21,6 @@ the monitor, arm the campaign, measure, and return the lot.
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,23 +41,13 @@ from repro.faults.network import (
     isolate_host,
     reorder_fraction,
 )
-from repro.faults.registry import (
-    FAULT_REGISTRY,
-    GenContext,
-    kind_for,
-    register_fault_kind,
-)
+from repro.faults.registry import GenContext, kind_for, register_fault_kind
 from repro.faults.sequencer import (
     equivocate_sequencer,
     fail_sequencer,
     flap_sequencer,
 )
 from repro.sim.clock import format_duration, ms, us
-
-# Protocol families for kind applicability (mirrors runtime.cluster's
-# names; literals here keep faults importable without the runtime layer).
-NEOBFT_PROTOCOLS = ("neobft-hm", "neobft-pk", "neobft-bn")
-LEADER_PROTOCOLS = ("pbft", "zyzzyva", "hotstuff", "minbft")
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +59,11 @@ LEADER_PROTOCOLS = ("pbft", "zyzzyva", "hotstuff", "minbft")
 class FaultSpec:
     """What to break: a fault kind plus its parameters.
 
-    ``kind`` picks an injector from :data:`FAULT_KINDS`; ``target`` is the
-    kind-specific subject (a replica id for replica faults, a host
-    address for network faults, ignored by sequencer faults); ``params``
-    carries the remaining keyword arguments of the underlying primitive.
+    ``kind`` names a registered :class:`~repro.faults.registry.FaultKind`;
+    ``target`` is the kind-specific subject (a replica id for replica
+    faults, a host address for network faults, ignored by sequencer
+    faults); ``params`` carries the remaining keyword arguments of the
+    underlying primitive.
     """
 
     kind: str
@@ -186,16 +176,7 @@ def _inject_equivocate_sequencer(cluster, spec, rng):
 
 
 def _inject_drop_fraction(cluster, spec, rng):
-    fraction = spec.params["fraction"]
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"drop fraction must be in [0, 1], got {fraction!r}")
-    if spec.target is not None:
-        return drop_fraction_for(cluster.fabric, spec.target, fraction, rng)
-
-    def predicate(packet) -> bool:
-        return rng.random() < fraction
-
-    return cluster.fabric.add_drop_filter(predicate)
+    return drop_fraction_for(cluster.fabric, spec.target, spec.params["fraction"], rng)
 
 
 def _inject_duplicate(cluster, spec, rng):
@@ -227,25 +208,14 @@ def _inject_isolate_host(cluster, spec, rng):
 
 def _inject_partition(cluster, spec, rng):
     groups: Sequence[Sequence[int]] = spec.params["groups"]
-    pairs = [
-        (a, b)
+    return cluster.fabric.partition(
+        pair
         for i, left in enumerate(groups)
         for right in groups[i + 1 :]
         for a in left
         for b in right
-    ]
-    for a, b in pairs:
-        cluster.fabric.partition(a, b)
-    healed = [False]
-
-    def heal() -> None:
-        if healed[0]:
-            return
-        healed[0] = True
-        for a, b in pairs:
-            cluster.fabric.heal(a, b)
-
-    return heal
+        for pair in ((a, b), (b, a))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +297,7 @@ register_fault_kind(
     "equivocate_primary",
     _inject_equivocate_primary,
     "replica",
-    protocols=LEADER_PROTOCOLS,
+    requires=("stable_leader",),
     generate=_gen_primaryish,
 )
 register_fault_kind(
@@ -346,24 +316,25 @@ register_fault_kind(
     "fail_sequencer",
     _inject_fail_sequencer,
     "sequencer",
-    protocols=NEOBFT_PROTOCOLS,
+    requires=("sequencer",),
     generate=lambda rng, ctx: (None, {}),
 )
 register_fault_kind(
     "flap_sequencer",
     _inject_flap_sequencer,
     "sequencer",
-    protocols=NEOBFT_PROTOCOLS,
+    requires=("sequencer",),
     generate=_gen_flap_sequencer,
 )
 register_fault_kind(
     "equivocate_sequencer",
     _inject_equivocate_sequencer,
     "sequencer",
-    # Only the Byzantine-network mode claims to tolerate a lying switch;
-    # under neobft-hm/pk an equivocating sequencer is outside the fault
-    # model, so fuzzing it there would report vacuous "violations".
-    protocols=("neobft-bn",),
+    # Only a family that tolerates a Byzantine sequencer claims to survive
+    # a lying switch; under the hybrid model an equivocating sequencer is
+    # outside the fault model, so fuzzing it there would report vacuous
+    # "violations".
+    requires=("byzantine_sequencer",),
     generate=_gen_equivocate_sequencer,
 )
 register_fault_kind(
@@ -379,25 +350,6 @@ register_fault_kind(
 # partition is campaign-only (no generator): arbitrary group splits are
 # better expressed by hand than drawn blind.
 register_fault_kind("partition", _inject_partition, "network")
-
-
-class _InjectorView(MappingABC):
-    """Legacy ``FAULT_KINDS`` mapping, now a live view of the registry."""
-
-    def __getitem__(self, name: str) -> Callable:
-        return kind_for(name).injector
-
-    def __contains__(self, name: object) -> bool:
-        return name in FAULT_REGISTRY
-
-    def __iter__(self):
-        return iter(FAULT_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(FAULT_REGISTRY)
-
-
-FAULT_KINDS: Mapping[str, Callable] = _InjectorView()
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,20 @@ from repro.net.fabric import DuplicateInjector, Fabric, PacketPredicate, Reorder
 from repro.net.packet import Packet
 
 
-def drop_fraction_for(fabric: Fabric, dst: int, fraction: float, rng) -> Callable[[], None]:
-    """Drop a fraction of packets destined for one host; returns remover."""
+def drop_fraction_for(
+    fabric: Fabric, dst: Optional[int], fraction: float, rng
+) -> Callable[[], None]:
+    """Drop a fraction of packets destined for one host (every packet when
+    ``dst`` is None); returns remover.
+
+    The draw happens only for packets the filter targets, so a targeted
+    drop leaves the stream untouched by other traffic.
+    """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"drop fraction must be in [0, 1], got {fraction!r}")
 
     def predicate(packet: Packet) -> bool:
-        return packet.dst == dst and rng.random() < fraction
+        return (dst is None or packet.dst == dst) and rng.random() < fraction
 
     return fabric.add_drop_filter(predicate)
 
@@ -50,16 +57,4 @@ def reorder_fraction(
 
 def isolate_host(fabric: Fabric, host: int, peers) -> Callable[[], None]:
     """Partition a host from a set of peers; returns an idempotent healer."""
-    peer_list = list(peers)
-    for peer in peer_list:
-        fabric.partition(host, peer)
-    healed = [False]
-
-    def heal() -> None:
-        if healed[0]:
-            return  # double-heal is a no-op, not an error
-        healed[0] = True
-        for peer in peer_list:
-            fabric.heal(host, peer)
-
-    return heal
+    return fabric.partition(pair for peer in peers for pair in ((host, peer), (peer, host)))

@@ -3,9 +3,9 @@
 Every fault kind a :class:`~repro.faults.campaign.FaultSpec` can name is
 registered here as a :class:`FaultKind`: the injector the campaign engine
 calls, the budget *category* the fuzzer's constraint language reasons
-about, the protocols the kind is meaningful for, and — when the kind is
-fuzzable — a ``generate`` function that draws deterministic parameters
-from a seeded stream.
+about, the family-row capabilities the kind *requires*, and — when the
+kind is fuzzable — a ``generate`` function that draws deterministic
+parameters from a seeded stream.
 
 Categories drive the fuzzer's budget constraints:
 
@@ -15,12 +15,13 @@ Categories drive the fuzzer's budget constraints:
   exceed it are outside the fault model and prove nothing.
 - ``network`` — message-level mischief (loss, duplication, reordering)
   every protocol must absorb at any intensity.
-- ``sequencer`` — aom-layer faults; only generated for protocols that
-  have a sequencer, and Byzantine sequencer equivocation only for the
-  protocol mode (``neobft-bn``) whose fault model claims to tolerate it.
+- ``sequencer`` — aom-layer faults.
 
-``protocols=None`` means "every protocol"; otherwise a tuple of cluster
-protocol names the kind applies to.
+Applicability comes from the builder's family table
+(:data:`repro.runtime.cluster.FAMILIES`): ``requires`` names the
+:class:`~repro.runtime.cluster.Family` fields (``sequencer``,
+``byzantine_sequencer``, ``stable_leader``, ...) that a protocol's row
+must all set. An empty tuple applies to every protocol.
 """
 
 from __future__ import annotations
@@ -53,13 +54,17 @@ class FaultKind:
     name: str
     injector: Callable  # (cluster, spec, rng) -> heal
     category: str = "custom"
-    protocols: Optional[Tuple[str, ...]] = None  # None = all protocols
+    requires: Tuple[str, ...] = ()  # Family fields the protocol's row must set
     # Optional fuzz hook: (rng, ctx) -> (target, params). Kinds without
     # one are campaign-only (never drawn by the fuzzer).
     generate: Optional[Callable] = None
 
     def applies_to(self, protocol: str) -> bool:
-        return self.protocols is None or protocol in self.protocols
+        # Imported here so the faults layer loads without the runtime.
+        from repro.runtime.cluster import family_of
+
+        family = family_of(protocol)
+        return all(getattr(family, field) for field in self.requires)
 
 
 FAULT_REGISTRY: Dict[str, FaultKind] = {}
@@ -69,7 +74,7 @@ def register_fault_kind(
     name: str,
     injector: Callable,
     category: str = "custom",
-    protocols: Optional[Iterable[str]] = None,
+    requires: Iterable[str] = (),
     generate: Optional[Callable] = None,
     replace: bool = False,
 ) -> FaultKind:
@@ -88,7 +93,7 @@ def register_fault_kind(
         name=name,
         injector=injector,
         category=category,
-        protocols=tuple(protocols) if protocols is not None else None,
+        requires=tuple(requires),
         generate=generate,
     )
     FAULT_REGISTRY[name] = kind

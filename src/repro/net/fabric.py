@@ -10,7 +10,7 @@ queues and are attached as :class:`GroupHandler` instances.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import random
 
@@ -115,7 +115,9 @@ class Fabric:
         self._endpoints: Dict[int, "EndpointPort"] = {}
         self._groups: Dict[GroupAddress, GroupHandler] = {}
         self._next_address = 0
-        self._blocked: set = set()  # directed (src, dst) host pairs
+        # Directed (src, dst) host pairs -> number of live partitions
+        # naming them; a pair is blocked while any of them is.
+        self._blocked: Dict[Tuple[int, int], int] = {}
         self._drop_filters: List[DropFilter] = []
         self._duplicators: List[DuplicateInjector] = []
         self._reorderers: List[ReorderInjector] = []
@@ -195,17 +197,25 @@ class Fabric:
 
         return remove
 
-    def partition(self, src: int, dst: int, bidirectional: bool = True) -> None:
-        """Black-hole traffic between two hosts."""
-        self._blocked.add((src, dst))
-        if bidirectional:
-            self._blocked.add((dst, src))
+    def partition(self, pairs: Iterable[Tuple[int, int]]) -> Callable[[], None]:
+        """Black-hole traffic on each directed (src, dst) host pair; returns
+        an idempotent remover.
 
-    def heal(self, src: int, dst: int, bidirectional: bool = True) -> None:
-        """Remove a partition."""
-        self._blocked.discard((src, dst))
-        if bidirectional:
-            self._blocked.discard((dst, src))
+        Partitions nest: a pair stays blocked until every partition that
+        names it has been removed.
+        """
+        held = list(pairs)
+        for pair in held:
+            self._blocked[pair] = self._blocked.get(pair, 0) + 1
+
+        def remove() -> None:
+            while held:
+                pair = held.pop()
+                self._blocked[pair] -= 1
+                if not self._blocked[pair]:
+                    del self._blocked[pair]
+
+        return remove
 
     def _should_drop(self, packet: Packet) -> bool:
         if isinstance(packet.dst, int) and (packet.src, packet.dst) in self._blocked:

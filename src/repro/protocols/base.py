@@ -51,8 +51,8 @@ class ReplicaGroup:
         """3f+1: Zyzzyva's all-replicas fast path."""
         return 3 * self.f + 1
 
-    def validate(self, min_factor: int = 3) -> None:
-        """Check n >= min_factor*f + 1 (3f+1 default, 2f+1 for MinBFT)."""
+    def validate(self, min_factor: int) -> None:
+        """Check n >= min_factor*f + 1 (the family row's replica factor)."""
         if self.n < min_factor * self.f + 1:
             raise ValueError(
                 f"{self.n} replicas cannot tolerate f={self.f} "

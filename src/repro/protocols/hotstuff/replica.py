@@ -44,7 +44,6 @@ class HotStuffReplica(BaseReplica):
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
-        group.validate(min_factor=3)
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._propose, max_batch=batch_size, max_outstanding=pipeline_depth
         )

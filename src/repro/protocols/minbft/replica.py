@@ -73,7 +73,6 @@ class MinBftReplica(BaseReplica):
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
-        group.validate(min_factor=2)
         self.usig: Optional[Usig] = None  # needs the bound crypto context
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._send_prepare, max_batch=batch_size, max_outstanding=2

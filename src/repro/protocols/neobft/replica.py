@@ -106,7 +106,6 @@ class NeoBftReplica(BaseReplica):
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
-        group.validate(min_factor=3)
         # The aom group and its configuration service (set by the cluster
         # builder's aom wiring).
         self.group_id: Optional[int] = None

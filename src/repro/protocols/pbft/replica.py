@@ -53,7 +53,6 @@ class PbftReplica(BaseReplica):
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
-        group.validate(min_factor=3)
         self.batcher: Batcher[ClientRequest] = Batcher(
             self._send_pre_prepare, max_batch=batch_size, max_outstanding=2
         )

@@ -38,7 +38,6 @@ class ZyzzyvaReplica(BaseReplica):
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
-        group.validate(min_factor=3)
         self.batcher: TimedBatcher[ClientRequest] = TimedBatcher(
             self, self._send_order_req, max_batch=batch_size, flush_after_ns=30_000
         )

@@ -32,10 +32,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Family:
-    """One row of the builder's table: a protocol's classes and sizing.
+    """One row of the builder's table: a protocol's classes, its sizing,
+    and its system and fault model.
 
     The classes are named, not imported, so building one family loads no
-    other (and only NeoBFT loads aom and the switch models).
+    other (and only a sequenced family loads aom and the switch models).
+    The builder and the fault registry read the model fields; no code
+    outside this table compares protocol names.
     """
 
     module: str  # package exporting both classes
@@ -43,26 +46,45 @@ class Family:
     client: str
     batch_size: Optional[int]  # default batch cap; None: the family has no batcher
     replica_factor: int  # n = replica_factor * f + 1; 0 is a single server
+    # Authenticator the aom sequencer stamps: "hm" (HMAC vector) or "pk"
+    # (signature), aom's AuthVariant values. None: no in-network ordering.
+    sequencer: Optional[str] = None
+    byzantine_sequencer: bool = False  # receivers confirm: a lying sequencer is tolerated
+    stable_leader: bool = False  # one replica orders a whole view
+    # A USIG trusted counter stops equivocation, so MinBFT needs only 2f+1.
+    trusted_counter: bool = False
 
 
 # Batch defaults follow each paper's own batching regime: PBFT/Zyzzyva/
 # MinBFT cap modest batches (latency-conscious), HotStuff uses large
 # batches to amortize its threshold-crypto cost (the paper notes pushing
 # it further trades >10 ms latency for throughput).
-_NEOBFT = Family("repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3)
 FAMILIES: Dict[str, Family] = {
-    "neobft-hm": _NEOBFT,
-    "neobft-pk": _NEOBFT,
-    "neobft-bn": _NEOBFT,
-    "pbft": Family("repro.protocols.pbft", "PbftReplica", "PbftClient", 6, 3),
-    "zyzzyva": Family("repro.protocols.zyzzyva", "ZyzzyvaReplica", "ZyzzyvaClient", 10, 3),
-    "hotstuff": Family("repro.protocols.hotstuff", "HotStuffReplica", "HotStuffClient", 150, 3),
-    "minbft": Family("repro.protocols.minbft", "MinBftReplica", "MinBftClient", 10, 2),
+    "neobft-hm": Family(
+        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3, sequencer="hm"
+    ),
+    "neobft-pk": Family(
+        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3, sequencer="pk"
+    ),
+    "neobft-bn": Family(
+        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3,
+        sequencer="hm", byzantine_sequencer=True,
+    ),
+    "pbft": Family("repro.protocols.pbft", "PbftReplica", "PbftClient", 6, 3, stable_leader=True),
+    "zyzzyva": Family(
+        "repro.protocols.zyzzyva", "ZyzzyvaReplica", "ZyzzyvaClient", 10, 3, stable_leader=True
+    ),
+    "hotstuff": Family(
+        "repro.protocols.hotstuff", "HotStuffReplica", "HotStuffClient", 150, 3, stable_leader=True
+    ),
+    "minbft": Family(
+        "repro.protocols.minbft", "MinBftReplica", "MinBftClient", 10, 2,
+        stable_leader=True, trusted_counter=True,
+    ),
     "unreplicated": Family(
         "repro.protocols.unreplicated", "UnreplicatedServer", "UnreplicatedClient", None, 0
     ),
 }
-NEOBFT_PROTOCOLS = ("neobft-hm", "neobft-pk", "neobft-bn")
 ALL_PROTOCOLS = tuple(FAMILIES)
 
 
@@ -139,6 +161,7 @@ def build_cluster(options: ClusterOptions) -> Cluster:
     n = options.resolved_replicas()
     # An unreplicated server tolerates no fault.
     group = ReplicaGroup(tuple(range(n)), options.f if family.replica_factor else 0)
+    group.validate(family.replica_factor)
 
     replica_kwargs = dict(options.replica_kwargs)
     silent = replica_kwargs.pop("silent_replicas", ())
@@ -152,7 +175,7 @@ def build_cluster(options: ClusterOptions) -> Cluster:
         )
         replica.attach(fabric, rid)
         replica.crypto = _bind_crypto(replica, authority, options.cost_model)
-        if options.protocol == "minbft":
+        if family.trusted_counter:
             replica.init_usig()
         replicas.append(replica)
     if silent:
@@ -162,8 +185,8 @@ def build_cluster(options: ClusterOptions) -> Cluster:
             make_silent(replicas[rid])
 
     service = None
-    if options.protocol in NEOBFT_PROTOCOLS:
-        service = _wire_aom_receivers(options, sim, fabric, authority, replicas)
+    if family.sequencer is not None:
+        service = _wire_aom_receivers(options, family, sim, fabric, authority, replicas)
 
     clients = []
     for i in range(options.num_clients):
@@ -189,23 +212,21 @@ def _bind_crypto(endpoint, authority, cost_model) -> CryptoContext:
     return CryptoContext(endpoint.address, authority, cost_model).bind(endpoint)
 
 
-def _wire_aom_receivers(options, sim, fabric, authority, replicas) -> "AomConfigService":
-    """Attach the aom configuration service and give each NeoBFT replica
-    its receiver library in one group (hm, pk, or hm with confirms)."""
+def _wire_aom_receivers(options, family, sim, fabric, authority, replicas) -> "AomConfigService":
+    """Attach the aom configuration service and give each replica its
+    receiver library in one group, as the family row says: the
+    sequencer's authenticator, and confirms under a Byzantine network."""
     from repro.aom.config import AomConfigService
     from repro.aom.messages import AomConfig, AuthVariant, NetworkFaultModel
     from repro.aom.receiver import AomReceiverLib
     from repro.protocols.messages import ClientRequest
 
-    variant = AuthVariant.PUBKEY if options.protocol == "neobft-pk" else AuthVariant.HMAC
     fault_model = (
-        NetworkFaultModel.BYZANTINE
-        if options.protocol == "neobft-bn"
-        else NetworkFaultModel.CRASH
+        NetworkFaultModel.BYZANTINE if family.byzantine_sequencer else NetworkFaultModel.CRASH
     )
     aom_config = AomConfig(
         group_id=options.group_id,
-        variant=variant,
+        variant=AuthVariant(family.sequencer),
         network_fault_model=fault_model,
         confirm_fault_bound=options.f,
     )

@@ -399,6 +399,52 @@ class TestCompletionTimeline:
         assert sum(timeline.buckets.values()) == len(timeline.times)
         assert len(timeline.times) >= result.completions > 0
 
+
+# ---------------------------------------------------------------------------
+# Overlapping partitions: each heal lifts only its own blocks
+# ---------------------------------------------------------------------------
+
+
+class TestOverlappingPartitions:
+    @staticmethod
+    def _blocked_at(events, probes):
+        """The fabric's blocked pairs at each probe time, under ``events``."""
+        cluster = build_cluster(ClusterOptions(protocol="pbft", num_clients=1, seed=7))
+        FaultCampaign(events).arm(cluster)
+        seen = {}
+        for at_ns in probes:
+            cluster.sim.schedule_at(
+                at_ns, lambda at_ns=at_ns: seen.update({at_ns: set(cluster.fabric._blocked)})
+            )
+        cluster.sim.run_for(max(probes) + 1)
+        return seen
+
+    def test_partition_inside_isolation(self):
+        seen = self._blocked_at(
+            [
+                FaultEvent(ms(1), FaultSpec("isolate_host", target=2), until_ns=ms(10)),
+                FaultEvent(
+                    ms(2), FaultSpec("partition", params={"groups": [[2], [3]]}), until_ns=ms(3)
+                ),
+            ],
+            [ms(4), ms(11)],
+        )
+        assert {(2, 3), (3, 2)} <= seen[ms(4)]
+        assert seen[ms(11)] == set()
+
+    def test_overlapping_isolations(self):
+        isolate = FaultSpec("isolate_host", target=2)
+        seen = self._blocked_at(
+            [
+                FaultEvent(ms(1), isolate, until_ns=ms(5)),
+                FaultEvent(ms(2), isolate, until_ns=ms(8)),
+            ],
+            [ms(6), ms(9)],
+        )
+        assert seen[ms(6)] == {pair for peer in (0, 1, 3) for pair in ((2, peer), (peer, 2))}
+        assert seen[ms(9)] == set()
+
+
 # ---------------------------------------------------------------------------
 # heal_all semantics: idempotent, reverse order, no double restore
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ import pytest
 from repro.faults import fuzz
 from repro.faults.campaign import FaultEvent, FaultSpec
 from repro.faults.registry import (
+    fuzzable_kinds,
     kind_for,
     register_fault_kind,
     unregister_fault_kind,
 )
 from repro.protocols.log import EntryKind, LogEntry
+from repro.runtime.cluster import ALL_PROTOCOLS, family_of
 from repro.sim.clock import ms
 
 
@@ -56,19 +58,46 @@ class TestGeneration:
             ), f"seed {seed} exceeds the f=1 replica fault budget"
 
     def test_only_applicable_kinds_drawn(self):
+        assert family_of("pbft").sequencer is None
         for seed in range(20):
             for event in fuzz.generate_case("pbft", seed).events:
                 kind = kind_for(event.spec.kind)
                 assert kind.applies_to("pbft")
+                assert "sequencer" not in kind.requires
                 assert kind.category != "sequencer"  # pbft has no sequencer
 
     def test_sequencer_equivocation_only_under_bn(self):
-        from repro.faults.registry import fuzzable_kinds
-
+        assert kind_for("equivocate_sequencer").requires == ("byzantine_sequencer",)
+        assert not family_of("neobft-hm").byzantine_sequencer
+        assert family_of("neobft-bn").byzantine_sequencer
         names_hm = {k.name for k in fuzzable_kinds("neobft-hm")}
         names_bn = {k.name for k in fuzzable_kinds("neobft-bn")}
         assert "equivocate_sequencer" not in names_hm
         assert "equivocate_sequencer" in names_bn
+
+    def test_fuzzable_kinds_per_protocol(self):
+        # Every family is fuzzed with these kinds; the family rows decide
+        # which of the sequencer and leader kinds join the common eleven.
+        common = [
+            "corrupt_macs", "corrupt_replies", "crash_replica", "drop_fraction",
+            "duplicate", "isolate_host", "reorder", "replay_stale_views",
+            "silent_replica", "slow_replica", "withhold_votes",
+        ]
+        sequenced = sorted(common + ["fail_sequencer", "flap_sequencer"])
+        leader = sorted(common + ["equivocate_primary"])
+        expected = {
+            "neobft-hm": sequenced,
+            "neobft-pk": sequenced,
+            "neobft-bn": sorted(sequenced + ["equivocate_sequencer"]),
+            "pbft": leader,
+            "zyzzyva": leader,
+            "hotstuff": leader,
+            "minbft": leader,
+            "unreplicated": common,
+        }
+        assert set(expected) == set(ALL_PROTOCOLS)
+        for protocol, names in expected.items():
+            assert [k.name for k in fuzzable_kinds(protocol)] == names, protocol
 
     def test_events_carry_stable_labels(self):
         case = fuzz.generate_case("pbft", 3)

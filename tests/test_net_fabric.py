@@ -117,7 +117,7 @@ class TestLossAndPartition:
 
     def test_partition_blocks_direction(self):
         sim, fabric, a, b = make_pair()
-        fabric.partition(a.address, b.address, bidirectional=False)
+        fabric.partition([(a.address, b.address)])
         a.execute_now(a.send, b.address, "blocked")
         b.execute_now(b.send, a.address, "allowed")
         sim.run()
@@ -126,8 +126,22 @@ class TestLossAndPartition:
 
     def test_heal_restores(self):
         sim, fabric, a, b = make_pair()
-        fabric.partition(a.address, b.address)
-        fabric.heal(a.address, b.address)
+        heal = fabric.partition([(a.address, b.address), (b.address, a.address)])
+        heal()
+        a.execute_now(a.send, b.address, "ok")
+        sim.run()
+        assert len(b.received) == 1
+
+    def test_partitions_nest(self):
+        sim, fabric, a, b = make_pair()
+        pair = (a.address, b.address)
+        heal_first, heal_second = fabric.partition([pair]), fabric.partition([pair])
+        heal_first()
+        heal_first()  # idempotent: the second partition still holds
+        a.execute_now(a.send, b.address, "blocked")
+        sim.run()
+        assert b.received == []
+        heal_second()
         a.execute_now(a.send, b.address, "ok")
         sim.run()
         assert len(b.received) == 1

@@ -10,7 +10,7 @@ import pytest
 import repro
 from repro.aom.messages import Confirm, ConfirmBatch
 from repro.runtime import ClusterOptions, Measurement, build_cluster
-from repro.runtime.cluster import ALL_PROTOCOLS
+from repro.runtime.cluster import ALL_PROTOCOLS, family_of
 from repro.runtime.harness import (
     default_echo_op,
     latency_throughput_sweep,
@@ -50,6 +50,15 @@ class TestBuildCluster:
         for protocol in ALL_PROTOCOLS:
             cluster = build_cluster(ClusterOptions(protocol=protocol, num_clients=1))
             assert cluster.clients, protocol
+
+    @pytest.mark.parametrize(
+        "protocol", [p for p in ALL_PROTOCOLS if family_of(p).replica_factor]
+    )
+    def test_too_few_replicas_rejected(self, protocol):
+        # n = factor * f is one short of the family's n = factor * f + 1.
+        short = family_of(protocol).replica_factor * 2
+        with pytest.raises(ValueError, match="cannot tolerate f=2"):
+            build_cluster(ClusterOptions(protocol=protocol, f=2, num_replicas=short))
 
     def test_neobft_group_registered(self):
         cluster = build_cluster(ClusterOptions(protocol="neobft-hm"))
