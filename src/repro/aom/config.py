@@ -69,7 +69,7 @@ class AomConfigService(Endpoint):
         fpga_kwargs: Optional[dict] = None,
         hmac_kwargs: Optional[dict] = None,
     ):
-        super().__init__(sim, "aom-config", cores=1, cost_model=cost_model)
+        super().__init__(sim, "aom-config", cost_model=cost_model)
         self.fabric = fabric  # usable before (and regardless of) attach()
         self.authority = authority
         self.failover_threshold_f = failover_threshold_f

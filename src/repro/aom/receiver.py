@@ -44,6 +44,11 @@ DropFn = Callable[[DropNotification], None]
 StuckFn = Callable[[int, int], None]  # (epoch, blocked_sequence)
 DeliverHook = Callable[[int, int, str], None]  # (epoch, sequence, what)
 
+#: Byzantine-network confirms are sent in batches of up to this many...
+CONFIRM_BATCH_MAX = 8
+#: ...or when the oldest unsent confirm has waited this long.
+CONFIRM_FLUSH_NS = us(15)
+
 
 class AomReceiverLib:
     """Per-receiver aom state machine, embedded in a host endpoint.
@@ -66,8 +71,6 @@ class AomReceiverLib:
         stuck_timeout_ns: int = us(400),
         pk_verify_interval_ns: int = us(25),
         pk_batch_max: int = 32,
-        confirm_batch_max: int = 8,
-        confirm_flush_ns: int = us(15),
         payload_binding=None,
     ):
         self.host = host
@@ -80,8 +83,6 @@ class AomReceiverLib:
         self.stuck_timeout_ns = stuck_timeout_ns
         self.pk_verify_interval_ns = pk_verify_interval_ns
         self.pk_batch_max = pk_batch_max
-        self.confirm_batch_max = confirm_batch_max
-        self.confirm_flush_ns = confirm_flush_ns
         # Optional payload->canonical-bytes extractor. When set, delivery
         # additionally requires H(canonical(payload)) == header digest, so
         # a message whose payload does not match its authenticated digest
@@ -407,14 +408,14 @@ class AomReceiverLib:
         # Batch confirms (§6.2: "by batch processing confirm messages") so
         # the per-message overhead amortizes at high load.
         self._confirm_outbox.append(confirm)
-        if len(self._confirm_outbox) >= self.confirm_batch_max:
+        if len(self._confirm_outbox) >= CONFIRM_BATCH_MAX:
             self._flush_confirms()
         elif self._confirm_timer is None:
             def fire() -> None:
                 self._confirm_timer = None
                 self._flush_confirms()
 
-            self._confirm_timer = self.host.set_timer(self.confirm_flush_ns, fire)
+            self._confirm_timer = self.host.set_timer(CONFIRM_FLUSH_NS, fire)
 
     def _flush_confirms(self) -> None:
         from repro.aom.messages import ConfirmBatch

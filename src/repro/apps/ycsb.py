@@ -12,7 +12,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.apps.kvstore.store import encode_get, encode_put
 
@@ -120,15 +120,3 @@ class YcsbWorkload:
         if roll < self.mix.read:
             return encode_get(key)
         return encode_put(key, self.value())
-
-    def op_stats(self, ops: int = 10_000) -> Dict[str, float]:
-        """Empirical mix over a sample (sanity checks in tests)."""
-        reads = 0
-        probe_rng_state = self.rng.getstate()
-        zipf_before = self.ops_generated
-        for _ in range(ops):
-            if self.next_op()[:1] == b"G":
-                reads += 1
-        self.rng.setstate(probe_rng_state)
-        self.ops_generated = zipf_before
-        return {"read_fraction": reads / ops}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List, Optional
+from typing import List
 
 DIGEST_SIZE = 32
 
@@ -40,9 +40,9 @@ class HashChain:
     low-water mark); the head *at* that length stays as the chain's base.
     """
 
-    def __init__(self, genesis: bytes = _EMPTY):
+    def __init__(self):
         self._base = 0  # length of the chain at _heads[0]
-        self._heads: List[bytes] = [genesis]
+        self._heads: List[bytes] = [_EMPTY]
 
     def append(self, element_digest: bytes) -> bytes:
         """Extend the chain by one element; returns the new head."""
@@ -113,24 +113,3 @@ def fields_digest(*fields) -> bytes:
             parts.append(field)
     return hashlib.sha256(b"".join(parts)).digest()
 
-
-class Checkpointer:
-    """Rolling digests over application snapshots, for protocol checkpoints."""
-
-    def __init__(self):
-        self._last: Optional[bytes] = None
-        self._count = 0
-
-    def checkpoint(self, state_digest: bytes) -> bytes:
-        """Fold a new state digest into the rolling checkpoint digest."""
-        if self._last is None:
-            self._last = sha256_digest(state_digest)
-        else:
-            self._last = chain_step(self._last, state_digest)
-        self._count += 1
-        return self._last
-
-    @property
-    def count(self) -> int:
-        """Number of checkpoints taken."""
-        return self._count

@@ -104,14 +104,8 @@ def _replica(cluster, spec: FaultSpec):
 
 
 def _sequencer(cluster, spec: FaultSpec):
-    service = cluster.config_service
-    if service is None:
-        raise ValueError(
-            f"{spec.kind} needs an aom cluster (protocol "
-            f"{cluster.options.protocol!r} has no sequencer)"
-        )
     group_id = spec.params.get("group_id", cluster.options.group_id)
-    return service.sequencer_for(group_id)
+    return cluster.config_service.sequencer_for(group_id)
 
 
 def _inject_crash_replica(cluster, spec, rng):
@@ -375,8 +369,9 @@ class FaultCampaign:
 
     Construction validates the whole schedule eagerly — unknown kinds,
     negative times, or heals that precede their injection fail before any
-    virtual time elapses. :meth:`arm` is one-shot: a campaign instance
-    accumulates the timeline of exactly one run.
+    virtual time elapses. :meth:`arm` rejects a kind that does not apply to
+    the cluster's protocol before it schedules anything, and is one-shot: a
+    campaign instance accumulates the timeline of exactly one run.
     """
 
     def __init__(self, events: Sequence[FaultEvent]):
@@ -403,6 +398,15 @@ class FaultCampaign:
         """Schedule every event on the cluster's simulator."""
         if self._armed:
             raise RuntimeError("a FaultCampaign can only be armed once")
+        protocol = cluster.options.protocol
+        for index, event in enumerate(self.events):
+            kind = kind_for(event.spec.kind)
+            if not kind.applies_to(protocol):
+                raise ValueError(
+                    f"{self._label_for(index, event)}: fault kind {kind.name!r} "
+                    f"needs a family row that sets {' and '.join(kind.requires)}, "
+                    f"and protocol {protocol!r} does not"
+                )
         self._armed = True
         sim = cluster.sim
         for index, event in enumerate(self.events):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.aom.sequencer import AomSequencer
-from repro.aom.messages import AomPacket
+if TYPE_CHECKING:
+    from repro.aom.messages import AomPacket
+    from repro.aom.sequencer import AomSequencer
 
 
 def fail_sequencer(sequencer: AomSequencer) -> Callable[[], None]:

@@ -36,10 +36,9 @@ class Endpoint(Actor, EndpointPort):
         self,
         sim: Simulator,
         name: str,
-        cores: int = 1,
         cost_model: Optional[CostModel] = None,
     ):
-        super().__init__(sim, name, cores)
+        super().__init__(sim, name)
         self.cost = cost_model or DEFAULT_COST_MODEL
         self.fabric: Optional[Fabric] = None
         self.address: Optional[int] = None

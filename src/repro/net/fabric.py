@@ -121,15 +121,10 @@ class Fabric:
         self._drop_filters: List[DropFilter] = []
         self._duplicators: List[DuplicateInjector] = []
         self._reorderers: List[ReorderInjector] = []
+        # Per-pair FIFO watermark: the latest arrival scheduled for each
+        # directed (src, dst) host pair. Host addresses never change within
+        # a fabric, so the map is bounded by the attached host pairs.
         self._last_arrival: Dict[Tuple[int, int], int] = {}
-        # The FIFO watermark for a (src, dst) pair only matters while a
-        # packet for that pair is still in flight: any future arrival is
-        # computed at > sim.now, so entries whose watermark has passed can
-        # never clamp again. They are swept periodically so long runs with
-        # churning address pairs (chaos campaigns, large sweeps) keep the
-        # map bounded instead of growing one entry per pair ever seen.
-        self._prune_interval = 4096
-        self._deliveries_until_prune = self._prune_interval
         self._rng = sim.streams.get("net.jitter")
         self._loss_rng = sim.streams.get("net.loss")
 
@@ -153,19 +148,11 @@ class Fabric:
         """Route ``group``-addressed packets to an in-network handler."""
         self._groups[group] = handler
 
-    def group_handler(self, group: GroupAddress) -> Optional[GroupHandler]:
-        """Current handler for a group (None if unregistered)."""
-        return self._groups.get(group)
-
     def unregister_group(self, group: GroupAddress) -> None:
         """Remove a group route (sequencer failover tears down the old one)."""
         self._groups.pop(group, None)
 
     # --------------------------------------------------------------- faults
-
-    def set_drop_rate(self, rate: float) -> None:
-        """Change the uniform loss probability mid-run."""
-        self.profile = self.profile.with_drop_rate(rate)
 
     def add_drop_filter(self, predicate: DropFilter) -> Callable[[], None]:
         """Install a targeted drop rule; returns a remover."""
@@ -319,13 +306,10 @@ class Fabric:
     def _schedule_delivery(
         self, port: "EndpointPort", packet: Packet, arrival: int, fifo: bool = True
     ) -> None:
-        if fifo and self.profile.fifo_per_pair and isinstance(packet.dst, int):
+        if fifo and isinstance(packet.dst, int):
             key = (packet.src, packet.dst)
             arrival = max(arrival, self._last_arrival.get(key, 0))
             self._last_arrival[key] = arrival
-            self._deliveries_until_prune -= 1
-            if self._deliveries_until_prune <= 0:
-                self._prune_fifo_watermarks()
         self._count("delivered")
         tel = self.sim.telemetry
         if tel is not None and isinstance(packet.dst, int):
@@ -336,22 +320,6 @@ class Fabric:
                     self.sim.now, arrival, src=packet.src, dst=packet.dst,
                 )
         self.sim.schedule_at(arrival, port.receive, packet, arrival)
-
-    def _prune_fifo_watermarks(self) -> None:
-        """Drop FIFO watermarks that already lie in the past.
-
-        Every delivery is scheduled strictly after ``sim.now``, so a pair
-        whose recorded watermark is <= now has been idle past the FIFO
-        horizon — its entry can never influence another arrival. Pruning
-        is deterministic (no randomness, no event scheduling) and runs
-        every ``_prune_interval`` clamped deliveries.
-        """
-        now = self.sim.now
-        last_arrival = self._last_arrival
-        stale = [key for key, arrival in last_arrival.items() if arrival <= now]
-        for key in stale:
-            del last_arrival[key]
-        self._deliveries_until_prune = self._prune_interval
 
     def _jitter(self) -> int:
         jitter = self.profile.link.jitter_ns

@@ -33,7 +33,6 @@ class NetworkProfile:
     link: LinkProfile = LinkProfile()
     switch_forward_ns: int = ns(600)  # ToR pipeline traversal
     drop_rate: float = 0.0  # uniform loss probability per packet
-    fifo_per_pair: bool = True  # clamp jitter so per-pair order holds
 
     def one_way_ns(self, size_bytes: int) -> int:
         """Deterministic part of host->host one-way delay."""

@@ -73,9 +73,8 @@ class BaseReplica(Endpoint):
         group: ReplicaGroup,
         app,
         cost_model: Optional[CostModel] = None,
-        cores: int = 1,
     ):
-        super().__init__(sim, f"replica-{replica_id}", cores=cores, cost_model=cost_model)
+        super().__init__(sim, f"replica-{replica_id}", cost_model=cost_model)
         self.replica_id = replica_id
         self.group = group
         self.app = app
@@ -307,7 +306,7 @@ class BaseClient(Endpoint):
         retry_jitter: float = 0.1,
         max_request_retries: Optional[int] = None,
     ):
-        super().__init__(sim, client_id_name, cores=1, cost_model=cost_model)
+        super().__init__(sim, client_id_name, cost_model=cost_model)
         if retry_backoff < 1.0:
             raise ValueError(f"retry_backoff must be >= 1.0, got {retry_backoff!r}")
         if not 0.0 <= retry_jitter <= 1.0:

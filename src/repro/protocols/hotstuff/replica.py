@@ -16,6 +16,9 @@ from repro.protocols.hotstuff.messages import (
 )
 from repro.protocols.messages import ClientRequest, batch_digest
 
+#: Batches the leader may have proposed but not yet decided.
+PIPELINE_DEPTH = 1
+
 
 class _BatchState:
     __slots__ = ("batch", "digest", "votes", "qcs", "decided")
@@ -40,12 +43,11 @@ class HotStuffReplica(BaseReplica):
         group: ReplicaGroup,
         app,
         batch_size: int = 150,
-        pipeline_depth: int = 1,
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
         self.batcher: Batcher[ClientRequest] = Batcher(
-            self._propose, max_batch=batch_size, max_outstanding=pipeline_depth
+            self._propose, max_batch=batch_size, max_outstanding=PIPELINE_DEPTH
         )
         self.next_seq = 0
         self.states: Dict[int, _BatchState] = {}

@@ -59,6 +59,10 @@ from repro.protocols.neobft.messages import (
 )
 from repro.sim.clock import ms, us
 
+#: How long a replica waits for query or gap-find replies before it
+#: re-broadcasts the request.
+QUERY_RESEND_NS = us(300)
+
 
 class _GapState:
     """Per-slot gap agreement bookkeeping."""
@@ -99,7 +103,6 @@ class NeoBftReplica(BaseReplica):
         group: ReplicaGroup,
         app,
         sync_interval: int = 256,
-        query_resend_ns: int = us(300),
         blocked_timeout_ns: int = ms(6),
         direct_request_timeout_ns: int = ms(10),
         view_change_timeout_ns: int = ms(8),
@@ -111,7 +114,6 @@ class NeoBftReplica(BaseReplica):
         self.group_id: Optional[int] = None
         self.config_service_addr: Optional[int] = None
         self.sync_interval = sync_interval
-        self.query_resend_ns = query_resend_ns
         self.blocked_timeout_ns = blocked_timeout_ns
         self.direct_request_timeout_ns = direct_request_timeout_ns
         self.view_change_timeout_ns = view_change_timeout_ns
@@ -438,7 +440,7 @@ class NeoBftReplica(BaseReplica):
             if self.blocked_slot == slot and not state.awaiting_decision:
                 self._send_query(slot, attempt + 1)
 
-        self._query_timer = self.set_timer(self.query_resend_ns, resend)
+        self._query_timer = self.set_timer(QUERY_RESEND_NS, resend)
 
     def _broadcast_gap_find(self, slot: int) -> None:
         state = self._gap_state(slot)
@@ -453,7 +455,7 @@ class NeoBftReplica(BaseReplica):
             if not state.resolved and self.blocked_slot == slot:
                 self._broadcast_gap_find(slot)
 
-        state.find_timer = self.set_timer(self.query_resend_ns, rebroadcast)
+        state.find_timer = self.set_timer(QUERY_RESEND_NS, rebroadcast)
 
     def _entry_certificate(self, slot: int) -> Optional[OrderingCertificate]:
         entry = self.log.get(slot)

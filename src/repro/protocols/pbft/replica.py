@@ -19,6 +19,10 @@ from repro.protocols.pbft.messages import (
 )
 from repro.sim.clock import ms
 
+#: A backup starts a view change when a request it forwarded to the
+#: primary has not executed within this long.
+REQUEST_TIMEOUT_NS = ms(4)
+
 
 class _SlotState:
     """Per-sequence-number agreement state."""
@@ -49,7 +53,6 @@ class PbftReplica(BaseReplica):
         app,
         batch_size: int = 64,
         checkpoint_interval: int = 128,
-        request_timeout_ns: int = ms(4),
         **kwargs,
     ):
         super().__init__(sim, replica_id, group, app, **kwargs)
@@ -57,7 +60,6 @@ class PbftReplica(BaseReplica):
             self._send_pre_prepare, max_batch=batch_size, max_outstanding=2
         )
         self.checkpoint_interval = checkpoint_interval
-        self.request_timeout_ns = request_timeout_ns
         self.next_seq = 0  # primary's sequence counter
         self.slots: Dict[int, _SlotState] = {}
         self.last_stable = -1
@@ -129,7 +131,7 @@ class PbftReplica(BaseReplica):
                 self._initiate_view_change(self.view + 1)
 
         self._request_timers[key] = (
-            self.set_timer(self.request_timeout_ns, fire),
+            self.set_timer(REQUEST_TIMEOUT_NS, fire),
             request,
         )
 

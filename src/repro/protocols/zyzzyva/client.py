@@ -14,6 +14,10 @@ from repro.protocols.zyzzyva.messages import (
 )
 from repro.sim.clock import us
 
+#: How long a client waits for all 3f+1 speculative responses before it
+#: falls back to the 2f+1 commit-certificate path.
+SPEC_TIMEOUT_NS = us(80)
+
 
 class ZyzzyvaClient(BaseClient):
     """Closed-loop Zyzzyva client."""
@@ -25,12 +29,10 @@ class ZyzzyvaClient(BaseClient):
         sim,
         name,
         group: ReplicaGroup,
-        spec_timeout_ns: int = us(80),
         **kwargs,
     ):
         kwargs.setdefault("retry_timeout_ns", 20_000_000)
         super().__init__(sim, name, group, reply_quorum=group.fast_quorum, **kwargs)
-        self.spec_timeout_ns = spec_timeout_ns
         self._spec_timer = None
         self._local_commits: Dict[int, LocalCommit] = {}
         self._commit_sent = False
@@ -58,7 +60,7 @@ class ZyzzyvaClient(BaseClient):
             if self.inflight is not None and self.inflight.request_id == request_id:
                 self._try_slow_path()
 
-        self._spec_timer = self.set_timer(self.spec_timeout_ns, fire)
+        self._spec_timer = self.set_timer(SPEC_TIMEOUT_NS, fire)
 
     def complete(self, result: bytes) -> None:
         if self._spec_timer is not None:

@@ -78,7 +78,6 @@ class Measurement:
         warmup_ns: int = ms(20),
         duration_ns: int = ms(100),
         next_op: Optional[Callable[[], bytes]] = None,
-        per_client_ops: Optional[Dict[int, Callable[[], bytes]]] = None,
         drain_step_ns: int = ms(2),
         drain_deadline_ns: int = ms(20),
         telemetry: Optional[Telemetry] = None,
@@ -100,11 +99,8 @@ class Measurement:
         self.meter = RateMeter()
         rng = cluster.sim.streams.get("workload.echo")
         default = next_op or default_echo_op(rng)
-        for index, client in enumerate(cluster.clients):
-            if per_client_ops is not None:
-                client.next_op = per_client_ops[index]
-            else:
-                client.next_op = default
+        for client in cluster.clients:
+            client.next_op = default
             client.on_complete = self._make_hook()
 
     def _make_hook(self):

@@ -2,19 +2,18 @@
 
 An :class:`Actor` is anything with an identity that handles deliveries:
 replicas, clients, the aom configuration service, switch control planes.
-Each actor owns a :class:`Cpu` — a multi-server FIFO queue — so that message
-processing takes simulated time and actors saturate realistically: when
-offered load exceeds service capacity, queues grow and end-to-end latency
-inflates exactly as it does on a real server.
+Each actor owns a :class:`Cpu` — a single-server FIFO queue — so that
+message processing takes simulated time and actors saturate realistically:
+when offered load exceeds service capacity, queues grow and end-to-end
+latency inflates exactly as it does on a real server.
 
 Execution model for one delivery:
 
 1. the network hands the job to the actor's CPU at arrival time ``t``;
-2. the CPU assigns it to the earliest-free core; the handler body runs at
-   virtual time ``start = max(t, core_free_at)``;
+2. the handler body runs at virtual time ``start = max(t, cpu_free_at)``;
 3. while running, the handler *charges* CPU time for the work it models
    (per-message overhead, crypto operations) via :meth:`Actor.charge`;
-4. the core is then busy until ``start + charged``; messages the handler
+4. the CPU is then busy until ``start + charged``; messages the handler
    produced depart at that completion instant, and timers it set count from
    it — the work a handler does is not visible to the outside world before
    the CPU time to do it has elapsed.
@@ -29,22 +28,19 @@ from repro.sim.engine import EventHandle, Simulator
 
 
 class Cpu:
-    """A ``cores``-server FIFO queue attached to one actor.
+    """A single-server FIFO queue attached to one actor.
 
-    Jobs are submitted at the current virtual time. If a core is idle the
-    job's handler body runs immediately and the core stays busy until the
+    Jobs are submitted at the current virtual time. If the CPU is idle the
+    job's handler body runs immediately and the CPU stays busy until the
     handler's charged cost elapses; otherwise the job waits in a FIFO
-    queue and runs the instant a core frees. Queueing delay -- the source
+    queue and runs the instant the CPU frees. Queueing delay -- the source
     of latency inflation under load -- therefore emerges from the model
     rather than being scripted.
     """
 
-    def __init__(self, sim: Simulator, cores: int = 1):
-        if cores < 1:
-            raise ValueError("a CPU needs at least one core")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.cores = cores
-        self._busy = 0
+        self._busy = False
         self._queue: deque = deque()
         self.busy_ns = 0
         self.jobs_run = 0
@@ -52,7 +48,7 @@ class Cpu:
 
     @property
     def queue_depth(self) -> int:
-        """Jobs waiting for a core right now."""
+        """Jobs waiting for the CPU right now."""
         return len(self._queue)
 
     def submit(self, arrival: int, job: Callable[[], int]) -> None:
@@ -63,13 +59,13 @@ class Cpu:
         """
         if arrival > self.sim.now:
             raise ValueError("jobs cannot be submitted from the future")
-        if self._busy < self.cores:
-            self._busy += 1
-            self._start(job)
-        else:
+        if self._busy:
             self._queue.append(job)
             if len(self._queue) > self.max_queue_depth:
                 self.max_queue_depth = len(self._queue)
+        else:
+            self._busy = True
+            self._start(job)
 
     def _start(self, job: Callable[[], int]) -> None:
         cost = job()
@@ -83,13 +79,13 @@ class Cpu:
         if self._queue:
             self._start(self._queue.popleft())
         else:
-            self._busy -= 1
+            self._busy = False
 
     def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of total core-time spent busy over ``elapsed_ns``."""
+        """Fraction of ``elapsed_ns`` spent busy."""
         if elapsed_ns <= 0:
             return 0.0
-        return self.busy_ns / (elapsed_ns * self.cores)
+        return self.busy_ns / elapsed_ns
 
 
 class Actor:
@@ -101,10 +97,10 @@ class Actor:
     at the handler's CPU completion time.
     """
 
-    def __init__(self, sim: Simulator, name: str, cores: int = 1):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.cpu = Cpu(sim, cores)
+        self.cpu = Cpu(sim)
         self._charged = 0
         self._in_handler = False
         self._pending_effects: List[Tuple[Callable[..., Any], tuple]] = []
@@ -142,18 +138,16 @@ class Actor:
         """Submit a handler invocation to this actor's CPU."""
 
         def job() -> int:
-            # A handler that submits to its own actor while another core is
-            # free runs the new job inline, inside its own body: save the
-            # outer handler's charge and effects and restore them after.
-            outer = (self._charged, self._in_handler, self._pending_effects)
+            # The CPU runs one job at a time, so no other handler of this
+            # actor is in progress: a submit from inside this handler queues.
             self._charged = 0
             self._in_handler = True
             self._pending_effects = effects = []
             try:
                 handler(*args)
-                cost = self._charged
             finally:
-                self._charged, self._in_handler, self._pending_effects = outer
+                self._in_handler = False
+            cost = self._charged
             if effects:
                 completion = self.sim.now + cost
                 for effect, effect_args in effects:

@@ -92,7 +92,6 @@ class Simulator:
         self._heap: List[Tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._events_processed = 0
-        self._stopped = False
         # Live = scheduled and neither fired nor cancelled. Maintained
         # incrementally so telemetry never scans the heap.
         self._live = 0
@@ -129,10 +128,6 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
-    def stop(self) -> None:
-        """Halt the run loop after the current event returns."""
-        self._stopped = True
-
     # ------------------------------------------------------------- queries
 
     def peek_time(self) -> Optional[int]:
@@ -144,57 +139,43 @@ class Simulator:
 
     # ------------------------------------------------------------ run loop
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Process events until the heap drains or a bound is hit.
+    def run(self, until: Optional[int] = None) -> int:
+        """Process events until the heap drains or the time bound is hit.
 
         Parameters
         ----------
         until:
             Absolute virtual time bound. Events at exactly ``until`` still
-            fire; the clock never advances past it. When a later event
-            remains pending the clock is left parked at ``until`` so
-            successive ``run`` calls observe continuous time.
-        max_events:
-            Safety valve against runaway event loops.
+            fire; the clock never advances past it, and is left parked at
+            ``until`` on return so successive ``run`` calls observe
+            continuous time.
 
         Returns the number of events processed by this call.
         """
-        processed = 0
-        self._stopped = False
+        start = self._events_processed
         heap = self._heap
         pop = heapq.heappop
-        park = False  # advance the clock to ``until`` on exit
-        while True:
-            if self._stopped:
-                park = True
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            if not heap:
-                park = True
-                break
+        while heap:
             entry = pop(heap)
             event = entry[2]
             if event.cancelled:
                 continue
             if until is not None and entry[0] > until:
                 heapq.heappush(heap, entry)
-                park = True
                 break
             self.now = entry[0]
             event._sim = None  # fired: a later cancel() is a no-op
             self._live -= 1
             event.callback(*event.args)
-            processed += 1
             self._events_processed += 1
-        if park and until is not None and self.now < until:
+        if until is not None and self.now < until:
             self.now = until
         if self.telemetry is not None:
             self.metrics.set_gauge("sim.virtual_time_ns", self.now)
             self.metrics.set_gauge("sim.events_processed", self._events_processed)
             self.metrics.set_gauge("sim.pending_events", self._live)
-        return processed
+        return self._events_processed - start
 
-    def run_for(self, duration: int, max_events: Optional[int] = None) -> int:
+    def run_for(self, duration: int) -> int:
         """Run for ``duration`` ns of virtual time from the current instant."""
-        return self.run(until=self.now + duration, max_events=max_events)
+        return self.run(until=self.now + duration)

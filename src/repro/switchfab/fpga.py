@@ -38,6 +38,11 @@ class FpgaBudget:
 
 FPGA_BUDGET = FpgaBudget()
 
+#: Service rate of the signer unit.
+SIGNER_RATE_PPS = 980_000.0
+#: Packet-path latency (parser, hash chain, signer, merger) at idle.
+PATH_LATENCY_NS = 2_300
+
 
 @dataclass(frozen=True)
 class FpgaModule:
@@ -87,25 +92,23 @@ class FpgaCoprocessor:
         The packet path's throughput ceiling (parser/hash/merger at
         100 Gbps for 64 B packets after framing: ~1.1 Mpps in the paper's
         measured design).
-    signer_rate_pps / precompute_rate_eps:
-        Service rates of the signer unit and the pre-computer.
+    precompute_rate_eps:
+        Service rate of the pre-computer.
     """
 
     def __init__(
         self,
         sign: Callable[[bytes], Signature],
         packet_rate_pps: float = 1_110_000.0,
-        signer_rate_pps: float = 980_000.0,
         precompute_rate_eps: float = 920_000.0,
         stock_capacity: int = 4_096,
         stock_low_threshold: int = 256,
         max_unsigned_run: int = 32,
-        path_latency_ns: int = 2_300,
         max_queue_ns: int = us(300),
     ):
         self._sign = sign
-        self.packet_engine = PacketEngine(packet_rate_pps, path_latency_ns, max_queue_ns)
-        self.signer_engine = PacketEngine(signer_rate_pps, 0, max_queue_ns)
+        self.packet_engine = PacketEngine(packet_rate_pps, PATH_LATENCY_NS, max_queue_ns)
+        self.signer_engine = PacketEngine(SIGNER_RATE_PPS, 0, max_queue_ns)
         self.precompute_rate_eps = precompute_rate_eps
         self.stock_capacity = stock_capacity
         self.stock_low_threshold = stock_low_threshold

@@ -13,7 +13,6 @@ from repro.crypto.backend import (
 )
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import (
-    Checkpointer,
     HashChain,
     chain_step,
     fields_digest,
@@ -229,13 +228,6 @@ class TestDigestHelpers:
         assert combined.startswith(digest)
         assert combined != auth_input(digest, 8, 1)
         assert combined != auth_input(digest, 7, 2)
-
-    def test_checkpointer_folds(self):
-        cp = Checkpointer()
-        first = cp.checkpoint(sha256_digest(b"s1"))
-        second = cp.checkpoint(sha256_digest(b"s2"))
-        assert first != second
-        assert cp.count == 2
 
 
 SESSION_AUTHORITY = KeyAuthority(FastBackend(), b"boot")

@@ -55,6 +55,20 @@ class TestCampaignValidation:
         with pytest.raises(RuntimeError):
             campaign.arm(cluster)
 
+    def test_kind_that_does_not_apply_rejected_at_arm(self):
+        # pbft has no sequencer: arming fails before anything is scheduled.
+        cluster = build_cluster(ClusterOptions(protocol="pbft", num_clients=1, seed=7))
+        pending = cluster.sim.live_events
+        campaign = FaultCampaign(
+            [
+                FaultEvent(ms(1), FaultSpec("crash_replica", target=1), until_ns=ms(2)),
+                FaultEvent(ms(3), FaultSpec("fail_sequencer")),
+            ]
+        )
+        with pytest.raises(ValueError, match=r"fail_sequencer#1.*sequencer.*'pbft'"):
+            campaign.arm(cluster)
+        assert cluster.sim.live_events == pending
+
     def test_events_sorted_by_time(self):
         campaign = FaultCampaign(
             [

@@ -79,22 +79,6 @@ class TestFifoPerPair:
         sim.run()
         assert [msg for _, msg, _ in b.received] == list(range(50))
 
-    def test_reordering_allowed_when_disabled(self):
-        profile = NetworkProfile(
-            link=LinkProfile(jitter_ns=us(30)), fifo_per_pair=False
-        )
-        sim, fabric, a, b = make_pair(profile, seed=3)
-
-        def send_all():
-            for i in range(100):
-                a.send(b.address, i)
-
-        a.execute_now(send_all)
-        sim.run()
-        order = [msg for _, msg, _ in b.received]
-        assert sorted(order) == list(range(100))
-        assert order != list(range(100))  # jitter shuffled something
-
 
 class TestLossAndPartition:
     def test_uniform_loss_rate(self):
@@ -231,29 +215,10 @@ class TestWireSizes:
 
 
 class TestFabricWatermarkPruning:
-    def test_stale_fifo_watermarks_are_swept(self):
-        sim = Simulator()
-        fabric = Fabric(sim)
-        fabric._prune_interval = 4
-        fabric._deliveries_until_prune = 4
-        # Seed watermarks in the past and the future.
-        sim.schedule(ms(1), lambda: None)
-        sim.run()
-        fabric._last_arrival = {
-            (0, 1): sim.now - 100,          # stale: can never clamp again
-            (2, 3): sim.now + ms(5),        # in-flight: must survive
-        }
-        fabric._prune_fifo_watermarks()
-        assert (0, 1) not in fabric._last_arrival
-        assert fabric._last_arrival[(2, 3)] == sim.now + ms(5)
-        assert fabric._deliveries_until_prune == 4
-
     def test_watermark_map_stays_bounded_under_load(self):
         # A run touches a handful of (src, dst) pairs; the map must not
-        # grow with delivery count (it is pruned to in-flight pairs).
+        # grow with delivery count (it holds one entry per host pair).
         cluster = build_cluster(ClusterOptions(protocol="neobft-hm", seed=7, num_clients=4))
-        cluster.fabric._prune_interval = 64
-        cluster.fabric._deliveries_until_prune = 64
         Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(3)).run()
         pairs = len(cluster.fabric._last_arrival)
         endpoints = len(cluster.fabric._endpoints)

@@ -210,6 +210,11 @@ def modules_loaded_by(statement):
     return set(out.stdout.split())
 
 
+def aom_or_switch_modules(loaded):
+    """The aom and switch-model modules among ``loaded``."""
+    return {m for m in loaded if m.split(".")[1] in ("aom", "switchfab")}
+
+
 class TestLazyImports:
     def test_faults_load_no_protocol_family(self):
         loaded = modules_loaded_by("import repro.faults")
@@ -224,4 +229,17 @@ class TestLazyImports:
         assert "repro.protocols.pbft" in loaded
         others = {f"repro.protocols.{family}" for family in FAMILIES if family != "pbft"}
         assert not others & loaded
-        assert not {m for m in loaded if m.split(".")[1] in ("aom", "switchfab")}
+        assert not aom_or_switch_modules(loaded)
+
+    def test_faults_load_no_aom_or_switch_model(self):
+        assert not aom_or_switch_modules(modules_loaded_by("import repro.faults"))
+
+    def test_silent_replica_build_loads_no_aom_or_switch_model(self):
+        # The builder reaches repro.faults for silent_replicas on any family.
+        loaded = modules_loaded_by(
+            "from repro.runtime import ClusterOptions, build_cluster; "
+            "build_cluster(ClusterOptions(protocol='zyzzyva', "
+            "replica_kwargs={'silent_replicas': [2]}))"
+        )
+        assert "repro.faults.behaviors" in loaded
+        assert not aom_or_switch_modules(loaded)

@@ -7,8 +7,8 @@ from repro.sim.clock import us
 
 
 class Worker(Actor):
-    def __init__(self, sim, cores=1):
-        super().__init__(sim, "worker", cores)
+    def __init__(self, sim):
+        super().__init__(sim, "worker")
         self.handled = []
 
     def handle(self, tag, cost):
@@ -24,18 +24,10 @@ class TestCpuQueueing:
             worker.execute(0, worker.handle, tag, us(10))
         sim.schedule(0, lambda: None)
         sim.run()
-        # Handlers start when a core frees: 0, 10us, 20us.
+        # Handlers start when the CPU frees: 0, 10us, 20us.
         assert [t for _, t in worker.handled] == [0, us(10), us(20)]
         assert worker.cpu.busy_ns == us(30)
         assert worker.cpu.jobs_run == 3
-
-    def test_two_cores_run_in_parallel(self):
-        sim = Simulator()
-        worker = Worker(sim, cores=2)
-        for tag in ("a", "b", "c"):
-            worker.execute(0, worker.handle, tag, us(10))
-        sim.run()
-        assert [t for _, t in worker.handled] == [0, 0, us(10)]
 
     def test_idle_gap_resets_queue(self):
         sim = Simulator()
@@ -56,11 +48,6 @@ class TestCpuQueueing:
         worker = Worker(sim)
         with pytest.raises(ValueError):
             worker.charge(-5)
-
-    def test_zero_cores_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Worker(sim, cores=0)
 
     def test_utilization(self):
         sim = Simulator()
@@ -167,11 +154,12 @@ class TestDeferredEffects:
         assert worker.handled == [("timer", us(5))]
         assert worker.cpu.busy_ns == us(3)
 
-    def test_nested_job_on_free_core_keeps_outer_charge_and_effects(self):
-        # On a 2-core actor a handler's own execute_now runs inline on the
-        # free core; the outer handler's charge and effects must survive it.
+    def test_nested_job_queues_behind_outer_charge_and_effects(self):
+        # A handler's own execute_now queues behind it on the busy CPU: the
+        # outer handler keeps its whole charge and its effects, and the
+        # inner job runs once the outer one completes.
         sim = Simulator()
-        worker = Worker(sim, cores=2)
+        worker = Worker(sim)
         fired = []
 
         def inner():

@@ -158,26 +158,6 @@ class TestRunBounds:
         sim.run_for(50)
         assert sim.now == 150
 
-    def test_max_events_bound(self):
-        sim = Simulator()
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            sim.schedule(1, tick)
-
-        sim.schedule(0, tick)
-        sim.run(max_events=25)
-        assert count[0] == 25
-
-    def test_stop_halts_loop(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2, fired.append, 2)
-        sim.run()
-        assert fired == [1]
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(7):
