@@ -18,7 +18,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.aom.messages import (
     AomConfig,
@@ -34,7 +34,7 @@ from repro.aom.messages import (
     header_digest,
 )
 from repro.crypto.backend import CryptoContext
-from repro.crypto.hmacvec import HmacVector, sim_mac
+from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
 from repro.sim.clock import us
 from repro.switchfab.fpga import ChainedToken
 from repro.switchfab.hmac_pipeline import PartialVector
@@ -99,6 +99,7 @@ class AomReceiverLib:
 
         self.epoch = 0
         self.epoch_config: Optional[EpochConfig] = None
+        self._switch_mac = None  # prepared MAC state of epoch_config.hmac_key
         self._reset_epoch_state()
         self._counters = host.sim.metrics.scope("aom.", node=host.name)
         self.last_delivery_ns = 0  # when the head last advanced
@@ -142,6 +143,7 @@ class AomReceiverLib:
             return
         self.epoch = epoch_config.epoch
         self.epoch_config = epoch_config
+        self._switch_mac = mac_state(epoch_config.hmac_key)
         self.epoch_installed_ns = self.host.sim.now
         self._reset_epoch_state()
 
@@ -196,7 +198,7 @@ class AomReceiverLib:
     def _verify_switch_tag(self, auth_input: bytes, tag: bytes) -> bool:
         """Check my HMAC-vector entry against the switch's tag."""
         self.crypto.bill(self.crypto.cost.hmac_ns)
-        return sim_mac(self.epoch_config.hmac_key, auth_input) == tag
+        return mac_with(self._switch_mac, auth_input) == tag
 
     def _hm_complete(self, seq: int) -> bool:
         partials = self._hm_partials.get(seq)
@@ -511,13 +513,14 @@ class AomReceiverLib:
     # ------------------------------------------------------- stuck watchdog
 
     def _has_pending_beyond_head(self) -> bool:
+        # Anything buffered past the head, or the head itself waiting (for
+        # confirms, say) as a certificate or a pk packet. Sequences start
+        # at 1, so an empty table's default of 0 never counts.
         head = self.next_seq
         return (
-            any(s > head for s in self._authentic)
-            or any(s > head for s in self._pk_buffer)
-            or any(s > head for s in self._hm_partials)
-            or head in self._authentic  # head itself waiting (e.g. confirms)
-            or head in self._pk_buffer
+            max(self._authentic, default=0) >= head
+            or max(self._pk_buffer, default=0) >= head
+            or max(self._hm_partials, default=0) > head
         )
 
     def _manage_stuck_timer(self, progressed: bool) -> None:

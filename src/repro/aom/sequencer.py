@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.aom.messages import AomPacket, AuthVariant
 from repro.net.fabric import Fabric, GroupHandler
-from repro.net.packet import Packet
+from repro.net.packet import Packet, wire_size_of
 from repro.sim.engine import Simulator
 from repro.switchfab.fpga import ChainedToken, FpgaCoprocessor
 from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
@@ -135,7 +135,7 @@ class AomSequencer(GroupHandler):
             )
             self._record_sequence_span(tel, arrival, done, sequence, payload)
         copies = [dc_replace_packet(base, auth=partial) for partial in partials]
-        self.sim.schedule_at(done, self._multicast_many, copies)
+        self.sim.post_at(done, self._multicast_many, copies)
 
     # ---------------------------------------------------------------- aom-pk
 
@@ -169,7 +169,7 @@ class AomSequencer(GroupHandler):
             self.sim.metrics.set_gauge("switch.fpga_stock", self.fpga.stock_level(arrival))
             self._record_sequence_span(tel, arrival, done, sequence, payload)
         packet = dc_replace_packet(provisional, auth=token)
-        self.sim.schedule_at(done, self._multicast_many, [packet])
+        self.sim.post_at(done, self._multicast_many, [packet])
 
     # ----------------------------------------------------------- telemetry
 
@@ -188,8 +188,6 @@ class AomSequencer(GroupHandler):
             self._multicast(aom_packet)
 
     def _multicast(self, aom_packet: AomPacket) -> None:
-        from repro.net.packet import wire_size_of
-
         base_size = wire_size_of(aom_packet)
         for receiver in self.receivers:
             outgoing, size = aom_packet, base_size

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.ecdsa import PrivateKey, PublicKey
-from repro.crypto.hmacvec import HmacVector, sim_mac
+from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
 from repro.sim.monitor import MetricsRegistry
 
 
@@ -200,7 +200,8 @@ class CryptoContext:
         # (Table 1): ops are 'sign', 'verify', 'mac', 'digest', 'share',
         # 'combine'. Until bind(), they go to a registry of their own.
         self.counters = MetricsRegistry().scope("crypto.")
-        self._session_keys: Dict[int, bytes] = {}  # peer -> shared MAC key
+        # peer -> keyed BLAKE2s state of the MAC key shared with it.
+        self._mac_states: Dict[int, object] = {}
         authority.register(node_id)
 
     @property
@@ -284,13 +285,18 @@ class CryptoContext:
     # charges one HalfSipHash and counts one ``crypto.mac``.
 
     def mac_to(self, peer: int, data: bytes) -> bytes:
-        """The tag ``peer`` will check on ``data`` from this node."""
-        key = self._session_keys.get(peer)
-        if key is None:
-            key = self._session_keys[peer] = self.authority.session_key(self.node_id, peer)
-        self.counters.add("mac")
-        self._bill(self.cost.hmac_ns)
-        return sim_mac(key, data)
+        """The tag ``peer`` will check on ``data`` from this node
+        (``sim_mac`` under the pair's session key)."""
+        state = self._mac_states.get(peer)
+        if state is None:
+            state = self._mac_states[peer] = mac_state(
+                self.authority.session_key(self.node_id, peer)
+            )
+        counts = self.counters.counts
+        counts["mac"] = counts.get("mac", 0) + 1
+        if self._charge is not None:
+            self._charge(self.cost.hmac_ns)
+        return mac_with(state, data)
 
     def mac_vector(self, peers: Iterable[int], data: bytes) -> HmacVector:
         """One tag per peer over ``data``, made in ``peers`` order."""

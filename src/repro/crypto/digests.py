@@ -113,3 +113,16 @@ def fields_digest(*fields) -> bytes:
             parts.append(field)
     return hashlib.sha256(b"".join(parts)).digest()
 
+
+def remember(message, name: str, value: bytes) -> bytes:
+    """Keep ``value`` as ``message.<name>`` on a frozen message; return it.
+
+    A message that memoizes a digest declares ``<name> = None`` on its
+    class and computes the digest once per instance, so every receiver of
+    one sent object reuses it. ``dataclasses.replace`` builds a new
+    instance, so a modified copy (a forged one, say) starts without the
+    memo and is digested afresh. ``name`` is a plain attribute name:
+    instances of a class then keep sharing their attribute-dict keys.
+    """
+    object.__setattr__(message, name, value)
+    return value

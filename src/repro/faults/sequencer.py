@@ -86,11 +86,11 @@ def equivocate_sequencer(
         if forge_auth and sequencer.hmac_pipeline is not None:
             partial = packet.auth
             subgroup = sequencer.hmac_pipeline.subgroups[partial.subgroup_index]
-            from repro.crypto.hmacvec import HmacVector, sim_mac
+            from repro.crypto.hmacvec import HmacVector, mac_with
             from repro.switchfab.hmac_pipeline import PartialVector
 
             forged_vector = HmacVector(
-                tuple((rid, sim_mac(key, forged.auth_input())) for rid, key in subgroup)
+                tuple((rid, mac_with(state, forged.auth_input())) for rid, state in subgroup)
             )
             forged = replace(
                 forged,

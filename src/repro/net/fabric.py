@@ -112,6 +112,8 @@ class Fabric:
         self._packets = {
             event: sim.metrics.scope("net.", event=event) for event in PACKET_EVENTS
         }
+        self._sent = self._packets["sent"]
+        self._delivered = self._packets["delivered"]
         self._endpoints: Dict[int, "EndpointPort"] = {}
         self._groups: Dict[GroupAddress, GroupHandler] = {}
         self._next_address = 0
@@ -125,7 +127,7 @@ class Fabric:
         # directed (src, dst) host pair. Host addresses never change within
         # a fabric, so the map is bounded by the attached host pairs.
         self._last_arrival: Dict[Tuple[int, int], int] = {}
-        self._rng = sim.streams.get("net.jitter")
+        self._getrandbits = sim.streams.get("net.jitter").getrandbits
         self._loss_rng = sim.streams.get("net.loss")
 
     def _count(self, event: str) -> None:
@@ -226,40 +228,28 @@ class Fabric:
         ``size`` is ``wire_size_of(message)``, which the sender has already
         computed to charge its CPU.
         """
-        packet = Packet(src=src, dst=dst, message=message, size=size, sent_at=self.sim.now)
-        self._count("sent")
+        now = self.sim.now
+        packet = Packet(src, dst, message, size, now)
+        self._sent.add("packets")
+        if not isinstance(dst, GroupAddress):
+            # Host to switch to host: two links and the switch's forwarding.
+            self._deliver(dst, packet, 2, self.profile.switch_forward_ns)
+            return
         if self._should_drop(packet):
             return
-        if isinstance(dst, GroupAddress):
-            handler = self._groups.get(dst)
-            if handler is None:
-                self._count("unroutable")
-                return
-            ingress = (
-                self.profile.link.latency_ns
-                + self.profile.link.serialization_ns(size)
-                + self._jitter()
-            )
-            tel = self.sim.telemetry
-            if tel is not None:
-                trace = _trace_key_of(message)
-                if trace is not None:
-                    tel.spans.record(
-                        trace, "net.to_sequencer", "net", "fabric",
-                        self.sim.now, self.sim.now + ingress,
-                    )
-            self.sim.schedule(ingress, handler.on_packet, packet, self.sim.now + ingress)
-            return
-        self._deliver_unicast(packet)
-
-    def _deliver_unicast(self, packet: Packet) -> None:
-        assert isinstance(packet.dst, int)
-        port = self._endpoints.get(packet.dst)
-        if port is None:
+        handler = self._groups.get(dst)
+        if handler is None:
             self._count("unroutable")
             return
-        delay = self.profile.one_way_ns(packet.size) + self._jitter()
-        self._dispatch(port, packet, self.sim.now + delay)
+        ingress = self._delay(size, 1, 0)
+        tel = self.sim.telemetry
+        if tel is not None:
+            trace = _trace_key_of(message)
+            if trace is not None:
+                tel.spans.record(
+                    trace, "net.to_sequencer", "net", "fabric", now, now + ingress,
+                )
+        self.sim.post_at(now + ingress, handler.on_packet, packet, now + ingress)
 
     def deliver_from_switch(self, dst: int, packet: Packet, extra_delay: int = 0) -> None:
         """Egress leg from an in-network element to a host.
@@ -271,21 +261,46 @@ class Fabric:
         agreement). ``packet`` must already be addressed to ``dst``; it is
         forwarded as is.
         """
-        if self._should_drop(packet):
+        self._deliver(dst, packet, 1, extra_delay)
+
+    def _delay(self, size: int, links: int, extra: int) -> int:
+        """Crossing ``links`` host-switch links with a ``size``-byte packet,
+        plus ``extra`` ns and one jitter draw.
+
+        The draw is ``randrange(jitter_ns)`` on the jitter stream with
+        ``Random._randbelow`` inlined: the same values, one call fewer.
+        """
+        link = self.profile.link
+        delay = links * (link.latency_ns + link.serialization_ns(size)) + extra
+        bound = link.jitter_ns
+        if bound > 0:
+            bits = bound.bit_length()
+            draw = self._getrandbits(bits)
+            while draw >= bound:
+                draw = self._getrandbits(bits)
+            delay += draw
+        return delay
+
+    def _deliver(self, dst: int, packet: Packet, links: int, extra: int) -> None:
+        """The one path of a host-bound packet: loss and partitions, routing,
+        delay, perturbation injectors, the per-pair FIFO clamp, then the
+        receiving host's NIC."""
+        # The fault hooks are consulted only while one is in force.
+        if (
+            self._blocked or self._drop_filters or self.profile.drop_rate > 0.0
+        ) and self._should_drop(packet):
             return
         port = self._endpoints.get(dst)
         if port is None:
             self._count("unroutable")
             return
-        delay = (
-            extra_delay
-            + self.profile.link.latency_ns
-            + self.profile.link.serialization_ns(packet.size)
-            + self._jitter()
-        )
-        self._dispatch(port, packet, self.sim.now + delay)
+        arrival = self.sim.now + self._delay(packet.size, links, extra)
+        if self._reorderers or self._duplicators:
+            self._perturb(port, packet, arrival)
+        else:
+            self._schedule_delivery(port, packet, arrival)
 
-    def _dispatch(self, port: "EndpointPort", packet: Packet, arrival: int) -> None:
+    def _perturb(self, port: "EndpointPort", packet: Packet, arrival: int) -> None:
         """Route one delivery through the active perturbation injectors."""
         for reorderer in self._reorderers:
             if reorderer.matches(packet):
@@ -306,26 +321,22 @@ class Fabric:
     def _schedule_delivery(
         self, port: "EndpointPort", packet: Packet, arrival: int, fifo: bool = True
     ) -> None:
-        if fifo and isinstance(packet.dst, int):
+        if fifo:
             key = (packet.src, packet.dst)
-            arrival = max(arrival, self._last_arrival.get(key, 0))
+            last = self._last_arrival.get(key, 0)
+            if arrival < last:
+                arrival = last
             self._last_arrival[key] = arrival
-        self._count("delivered")
+        self._delivered.add("packets")
         tel = self.sim.telemetry
-        if tel is not None and isinstance(packet.dst, int):
+        if tel is not None:
             trace = _trace_key_of(packet.message, dst=packet.dst)
             if trace is not None:
                 tel.spans.record(
                     trace, "net.deliver", "net", "fabric",
                     self.sim.now, arrival, src=packet.src, dst=packet.dst,
                 )
-        self.sim.schedule_at(arrival, port.receive, packet, arrival)
-
-    def _jitter(self) -> int:
-        jitter = self.profile.link.jitter_ns
-        if jitter <= 0:
-            return 0
-        return self._rng.randrange(jitter)
+        self.sim.post_at(arrival, port.receive, packet, arrival)
 
 
 class EndpointPort:

@@ -75,7 +75,10 @@ def _size_len(value: Any, depth: int) -> int:
 
 def _size_sequence(value: Any, depth: int) -> int:
     depth += 1
-    return 2 + sum(_payload_size(item, depth) for item in value)
+    size = 2
+    for item in value:
+        size += _payload_size(item, depth)
+    return size
 
 
 def _size_dict(value: Any, depth: int) -> int:
@@ -112,9 +115,10 @@ def _resolve_sizer(cls: type):
 
         def _size_dataclass(value: Any, depth: int, _names=field_names) -> int:
             depth += 1
-            return 2 + sum(
-                _payload_size(getattr(value, name), depth) for name in _names
-            )
+            size = 2
+            for name in _names:
+                size += _payload_size(getattr(value, name), depth)
+            return size
 
         return _size_dataclass
     return _size_opaque

@@ -14,9 +14,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
 from repro.crypto.costmodel import CostModel
+from repro.crypto.digests import remember
 from repro.net.endpoint import Endpoint
 from repro.protocols.log import EntryKind, LogEntry, ReplicaLog
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientReply, ClientRequest, reply_body, request_body
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 
@@ -191,23 +192,32 @@ class BaseReplica(Endpoint):
             return False, reply
         return False, None
 
-    def reply_to_client(self, client_id: int, reply: ClientReply) -> None:
-        """MAC and send a reply; caches it for duplicate retransmission."""
-        tag = self.crypto.mac_to(client_id, reply.signed_body())
-        tagged = ClientReply(
-            view=reply.view,
-            replica=reply.replica,
-            request_id=reply.request_id,
-            result=reply.result,
-            slot=reply.slot,
-            log_hash=reply.log_hash,
-            tag=tag,
-            extra=reply.extra,
+    def reply_to_client(
+        self,
+        client_id: int,
+        view: int,
+        request_id: int,
+        result: bytes,
+        slot: int = 0,
+        log_hash: bytes = b"",
+        extra=None,
+    ) -> None:
+        """Build, MAC and send this replica's reply; caches it for duplicate
+        retransmission.
+
+        The reply carries the body its MAC covers, so the client checks
+        the tag without digesting the reply again.
+        """
+        body = reply_body(view, self.address, request_id, result, slot, log_hash)
+        reply = ClientReply(
+            view, self.address, request_id, result, slot, log_hash,
+            self.crypto.mac_to(client_id, body), extra,
         )
+        remember(reply, "_signed_body", body)
         seen = self.client_table.get(client_id)
-        if seen is not None and seen[0] == reply.request_id:
-            self.client_table[client_id] = (reply.request_id, tagged)
-        self.send(client_id, tagged)
+        if seen is not None and seen[0] == request_id:
+            self.client_table[client_id] = (request_id, reply)
+        self.send(client_id, reply)
 
     # ------------------------------------------------------------ execution
 
@@ -238,14 +248,9 @@ class BaseReplica(Endpoint):
             return False
         result, _ = self.execute_op(request.op, request=request)
         self.client_table[request.client_id] = (request.request_id, None)
-        reply = ClientReply(
-            view=self.view,
-            replica=self.address,
-            request_id=request.request_id,
-            result=result,
-            **reply_fields,
+        self.reply_to_client(
+            request.client_id, self.view, request.request_id, result, **reply_fields
         )
-        self.reply_to_client(request.client_id, reply)
         return True
 
     # ------------------------------------------------------------ app hooks
@@ -362,11 +367,12 @@ class BaseClient(Endpoint):
             raise RuntimeError(f"{self.name}: one outstanding request at a time")
         request_id = self.next_request_id
         self.next_request_id += 1
-        body = ClientRequest(self.address, request_id, op).canonical()
+        body = request_body(self.address, request_id, op)
         request = ClientRequest(
             self.address, request_id, op,
             self.crypto.mac_vector(self.group.replica_addrs, body),
         )
+        remember(request, "_canonical", body)
         self.inflight = request
         self.inflight_since = self.sim.now
         self._replies.clear()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.digests import fields_digest
+from repro.crypto.digests import fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 
 
@@ -25,9 +25,13 @@ class ClientRequest:
     op: bytes
     auth: Optional[HmacVector] = None  # MAC vector over the replicas
 
+    _canonical = None  # memo of canonical(); see remember
+
     def canonical(self) -> bytes:
-        """Stable byte form the digest/MACs cover."""
-        return fields_digest(b"request", self.client_id, self.request_id, self.op)
+        """Stable byte form the digest/MACs cover (computed once)."""
+        return self._canonical or remember(
+            self, "_canonical", request_body(self.client_id, self.request_id, self.op)
+        )
 
     def key(self) -> tuple:
         """Identity for at-most-once deduplication."""
@@ -38,6 +42,18 @@ class ClientRequest:
         if self.auth is not None:
             size += self.auth.wire_size()
         return size
+
+
+def request_body(client_id: int, request_id: int, op: bytes) -> bytes:
+    """:meth:`ClientRequest.canonical` of a request with these fields."""
+    return fields_digest(b"request", client_id, request_id, op)
+
+
+def reply_body(
+    view: int, replica: int, request_id: int, result: bytes, slot: int, log_hash: bytes
+) -> bytes:
+    """:meth:`ClientReply.signed_body` of a reply with these fields."""
+    return fields_digest(b"reply", view, replica, request_id, result, slot, log_hash)
 
 
 def batch_digest(batch: Tuple[ClientRequest, ...]) -> bytes:
@@ -58,16 +74,17 @@ class ClientReply:
     tag: bytes = b""  # MAC to the client
     extra: Any = None  # protocol-specific (e.g. Zyzzyva history/spec info)
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        """Bytes the reply MAC covers."""
-        return fields_digest(
-            b"reply",
-            self.view,
-            self.replica,
-            self.request_id,
-            self.result,
-            self.slot,
-            self.log_hash,
+        """Bytes the reply MAC covers (computed once)."""
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            reply_body(
+                self.view, self.replica, self.request_id, self.result,
+                self.slot, self.log_hash,
+            ),
         )
 
     def match_key(self) -> tuple:

@@ -37,7 +37,7 @@ from repro.aom.messages import (
 )
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.log import EntryKind, LogEntry, NOOP_DIGEST
-from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.messages import ClientRequest
 from repro.protocols.neobft.messages import (
     EpochCertificate,
     EpochStart,
@@ -315,15 +315,14 @@ class NeoBftReplica(BaseReplica):
 
             self.log.mark_executed(slot, result, undo)
             self._cancel_direct_timer(request)
-            reply = ClientReply(
-                view=_view_int(self.view_id),
-                replica=self.address,
-                request_id=request.request_id,
-                result=result,
+            self.reply_to_client(
+                request.client_id,
+                _view_int(self.view_id),
+                request.request_id,
+                result,
                 slot=slot,
                 log_hash=self.log.hash_up_to(slot),
             )
-            self.reply_to_client(request.client_id, reply)
         else:
             # Duplicate of an executed request: occupies the slot, no
             # state mutation; resend the cached reply if we still have it.

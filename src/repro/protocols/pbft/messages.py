@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
-from repro.crypto.digests import fields_digest
+from repro.crypto.digests import fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
@@ -26,8 +26,14 @@ class PrePrepare:
     batch: Tuple[ClientRequest, ...]
     auth: Optional[HmacVector] = None
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        return fields_digest(b"pre-prepare", self.view, self.seq, self.digest)
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            fields_digest(b"pre-prepare", self.view, self.seq, self.digest),
+        )
 
     def wire_size(self) -> int:
         size = 52 + sum(r.wire_size() for r in self.batch)
@@ -46,8 +52,14 @@ class Prepare:
     replica: int
     auth: Optional[HmacVector] = None
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        return fields_digest(b"prepare", self.view, self.seq, self.digest, self.replica)
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            fields_digest(b"prepare", self.view, self.seq, self.digest, self.replica),
+        )
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,14 @@ class Commit:
     replica: int
     auth: Optional[HmacVector] = None
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        return fields_digest(b"commit", self.view, self.seq, self.digest, self.replica)
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            fields_digest(b"commit", self.view, self.seq, self.digest, self.replica),
+        )
 
 
 @dataclass(frozen=True)
@@ -73,8 +91,14 @@ class Checkpoint:
     replica: int
     auth: Optional[HmacVector] = None
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        return fields_digest(b"checkpoint", self.seq, self.state_digest, self.replica)
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            fields_digest(b"checkpoint", self.seq, self.state_digest, self.replica),
+        )
 
 
 @dataclass(frozen=True)

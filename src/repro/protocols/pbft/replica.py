@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.crypto.digests import remember
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
 from repro.protocols.messages import ClientRequest, batch_digest
@@ -78,10 +79,16 @@ class PbftReplica(BaseReplica):
             self.slots[seq] = state
         return state
 
-    def _mac_broadcast(self, message, body: bytes) -> None:
-        """Attach a MAC vector for all peers and broadcast."""
+    def _mac_broadcast(self, message) -> None:
+        """Attach a MAC vector for all peers and broadcast.
+
+        The authenticated copy carries the body its MACs cover, so no
+        receiver digests it again.
+        """
         peers = self.peers()
+        body = message.signed_body()
         authed = replace(message, auth=self.crypto.mac_vector(peers, body))
+        remember(authed, "_signed_body", body)
         for rid in peers:
             self.send(rid, authed)
 
@@ -150,7 +157,7 @@ class PbftReplica(BaseReplica):
         pre_prepare = PrePrepare(self.view, seq, digest, tuple(batch))
         state = self._slot(seq)
         state.pre_prepare = pre_prepare
-        self._mac_broadcast(pre_prepare, pre_prepare.signed_body())
+        self._mac_broadcast(pre_prepare)
         # The primary does not send (or count) a prepare of its own; the
         # pre-prepare plays that role. Check in case 2f prepares raced in.
         self._check_prepared(seq)
@@ -173,7 +180,7 @@ class PbftReplica(BaseReplica):
             self._clear_request_timer(request)
         state.pre_prepare = message
         prepare = Prepare(self.view, message.seq, message.digest, self.address)
-        self._mac_broadcast(prepare, prepare.signed_body())
+        self._mac_broadcast(prepare)
         self._add_prepare_vote(message.seq, prepare)
 
     def _on_prepare(self, src: int, message: Prepare) -> None:
@@ -211,7 +218,7 @@ class PbftReplica(BaseReplica):
             state.prepared = True
             commit = Commit(self.view, seq, digest, self.address)
             state.sent_commit = True
-            self._mac_broadcast(commit, commit.signed_body())
+            self._mac_broadcast(commit)
             self._add_commit_vote(seq, commit)
 
     def _on_commit(self, src: int, message: Commit) -> None:
@@ -262,7 +269,7 @@ class PbftReplica(BaseReplica):
         digest = self.app.digest()
         self.charge(self.cost.sha256_ns)
         checkpoint = Checkpoint(seq, digest, self.address)
-        self._mac_broadcast(checkpoint, checkpoint.signed_body())
+        self._mac_broadcast(checkpoint)
         self._add_checkpoint_vote(checkpoint)
 
     def _on_checkpoint(self, src: int, message: Checkpoint) -> None:
@@ -426,7 +433,7 @@ class PbftReplica(BaseReplica):
             state = self.slots[pre_prepare.seq]
             state.pre_prepare = pre_prepare
             prepare = Prepare(self.view, pre_prepare.seq, pre_prepare.digest, self.address)
-            self._mac_broadcast(prepare, prepare.signed_body())
+            self._mac_broadcast(prepare)
             self._add_prepare_vote(pre_prepare.seq, prepare)
             max_seq = max(max_seq, pre_prepare.seq)
         if self.is_leader:

@@ -9,7 +9,8 @@ latency inflates exactly as it does on a real server.
 
 Execution model for one delivery:
 
-1. the network hands the job to the actor's CPU at arrival time ``t``;
+1. the network hands the handler and its arguments to the actor's CPU
+   (:meth:`Actor.execute`) at arrival time ``t``;
 2. the handler body runs at virtual time ``start = max(t, cpu_free_at)``;
 3. while running, the handler *charges* CPU time for the work it models
    (per-message overhead, crypto operations) via :meth:`Actor.charge`;
@@ -22,7 +23,7 @@ Execution model for one delivery:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.sim.engine import EventHandle, Simulator
 
@@ -30,62 +31,24 @@ from repro.sim.engine import EventHandle, Simulator
 class Cpu:
     """A single-server FIFO queue attached to one actor.
 
-    Jobs are submitted at the current virtual time. If the CPU is idle the
-    job's handler body runs immediately and the CPU stays busy until the
-    handler's charged cost elapses; otherwise the job waits in a FIFO
-    queue and runs the instant the CPU frees. Queueing delay -- the source
-    of latency inflation under load -- therefore emerges from the model
-    rather than being scripted.
+    Jobs arrive at the current virtual time through :meth:`Actor.execute`.
+    If the CPU is idle the job's handler runs immediately and the CPU stays
+    busy until the handler's charged cost elapses; otherwise the job waits
+    in a FIFO queue of ``(handler, args)`` and runs the instant the CPU
+    frees. Queueing delay -- the source of latency inflation under load --
+    therefore emerges from the model rather than being scripted.
     """
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
+    def __init__(self):
         self._busy = False
-        self._queue: deque = deque()
+        self._queue: Deque[Tuple[Callable[..., None], tuple]] = deque()
         self.busy_ns = 0
         self.jobs_run = 0
-        self.max_queue_depth = 0
 
     @property
     def queue_depth(self) -> int:
         """Jobs waiting for the CPU right now."""
         return len(self._queue)
-
-    def submit(self, arrival: int, job: Callable[[], int]) -> None:
-        """Submit a job; ``arrival`` must not be in the future.
-
-        ``job`` runs its handler body and returns the charged CPU cost in
-        nanoseconds.
-        """
-        if arrival > self.sim.now:
-            raise ValueError("jobs cannot be submitted from the future")
-        if self._busy:
-            self._queue.append(job)
-            if len(self._queue) > self.max_queue_depth:
-                self.max_queue_depth = len(self._queue)
-        else:
-            self._busy = True
-            self._start(job)
-
-    def _start(self, job: Callable[[], int]) -> None:
-        cost = job()
-        if cost < 0:
-            raise ValueError("job reported negative CPU cost")
-        self.busy_ns += cost
-        self.jobs_run += 1
-        self.sim.schedule(cost, self._complete)
-
-    def _complete(self) -> None:
-        if self._queue:
-            self._start(self._queue.popleft())
-        else:
-            self._busy = False
-
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` spent busy."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.busy_ns / elapsed_ns
 
 
 class Actor:
@@ -100,7 +63,7 @@ class Actor:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.cpu = Cpu(sim)
+        self.cpu = Cpu()
         self._charged = 0
         self._in_handler = False
         self._pending_effects: List[Tuple[Callable[..., Any], tuple]] = []
@@ -135,26 +98,47 @@ class Actor:
     # ------------------------------------------------------------ dispatch
 
     def execute(self, arrival: int, handler: Callable[..., None], *args: Any) -> None:
-        """Submit a handler invocation to this actor's CPU."""
+        """Run ``handler(*args)`` on this actor's CPU, or queue it while busy.
 
-        def job() -> int:
-            # The CPU runs one job at a time, so no other handler of this
-            # actor is in progress: a submit from inside this handler queues.
-            self._charged = 0
-            self._in_handler = True
-            self._pending_effects = effects = []
-            try:
-                handler(*args)
-            finally:
-                self._in_handler = False
-            cost = self._charged
-            if effects:
-                completion = self.sim.now + cost
-                for effect, effect_args in effects:
-                    self.sim.schedule_at(completion, effect, *effect_args)
-            return cost
+        ``arrival`` must not be in the future.
+        """
+        if arrival > self.sim.now:
+            raise ValueError("jobs cannot be submitted from the future")
+        cpu = self.cpu
+        if cpu._busy:
+            cpu._queue.append((handler, args))
+        else:
+            cpu._busy = True
+            self._run_job(handler, args)
 
-        self.cpu.submit(arrival, job)
+    def _run_job(self, handler: Callable[..., None], args: tuple) -> None:
+        """Run one job and post its effects, then the CPU's release, at its
+        completion time."""
+        # The CPU runs one job at a time, so no other handler of this
+        # actor is in progress: a submit from inside this handler queues.
+        self._charged = 0
+        self._in_handler = True
+        self._pending_effects = effects = []
+        try:
+            handler(*args)
+        finally:
+            self._in_handler = False
+        cost = self._charged
+        cpu = self.cpu
+        cpu.busy_ns += cost
+        cpu.jobs_run += 1
+        sim = self.sim
+        completion = sim.now + cost
+        for effect, effect_args in effects:
+            sim.post_at(completion, effect, *effect_args)
+        sim.post_at(completion, self._release_cpu)
+
+    def _release_cpu(self) -> None:
+        queue = self.cpu._queue
+        if queue:
+            self._run_job(*queue.popleft())
+        else:
+            self.cpu._busy = False
 
     def execute_now(self, handler: Callable[..., None], *args: Any) -> None:
         """Submit a handler arriving at the current virtual time."""

@@ -5,16 +5,26 @@ events. Events scheduled for the same instant fire in the order they were
 scheduled (a monotonically increasing sequence number breaks ties), which
 makes whole-system runs bit-for-bit reproducible for a given seed.
 
-Heap entries are ``(time, seq, handle)`` tuples: ``seq`` is unique, so the
-heap orders entries by comparing two ints in C and never compares the
-handles themselves. Cancellation is lazy: a cancelled handle stays in the
-heap and is skipped when it reaches the top, but it drops its callback and
-arguments at cancel, so a dead entry holds nothing else alive.
+The heap holds two kinds of entry, both ordered by ``(time, seq)``:
+
+- ``(time, seq, None, handle)`` for :meth:`Simulator.schedule` and
+  :meth:`Simulator.schedule_at`, which return an :class:`EventHandle`
+  (timers, fault schedules: anything that may be cancelled);
+- ``(time, seq, callback, args)`` for :meth:`Simulator.post_at`, for
+  events nothing cancels (fabric deliveries, CPU completions, deferred
+  handler effects, the sequencer's multicast). No handle is built.
+
+Both kinds draw ``seq`` from one counter, so ties fire in scheduling order
+whichever kind they are. ``seq`` is unique, so the heap orders entries by
+comparing two ints in C and never compares what follows. Cancellation is
+lazy: a cancelled handle stays in the heap and is skipped when it reaches
+the top, but it drops its callback and arguments at cancel, so a dead
+entry holds nothing else alive.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.monitor import MetricsRegistry
@@ -89,7 +99,7 @@ class Simulator:
         # Optional repro.telemetry.Telemetry: spans, gauges and histograms
         # are recorded only while it is set.
         self.telemetry = None
-        self._heap: List[Tuple[int, int, EventHandle]] = []
+        self._heap: List[Tuple[int, int, Any, Any]] = []
         self._seq = 0
         self._events_processed = 0
         # Live = scheduled and neither fired nor cancelled. Maintained
@@ -120,12 +130,25 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         return self._push(time, callback, args)
 
+    def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at an absolute virtual time, uncancellably.
+
+        Like :meth:`schedule_at` but returns no handle, so it costs one
+        heap entry and nothing else.
+        """
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heappush(self._heap, (time, seq, callback, args))
+
     def _push(self, time: int, callback: Callable[..., None], args: tuple) -> EventHandle:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
         handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, handle))
+        heappush(self._heap, (time, seq, None, handle))
         return handle
 
     # ------------------------------------------------------------- queries
@@ -133,8 +156,8 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Virtual time of the next pending event, or None when idle."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heappop(heap)
         return heap[0][0] if heap else None
 
     # ------------------------------------------------------------ run loop
@@ -154,19 +177,23 @@ class Simulator:
         """
         start = self._events_processed
         heap = self._heap
-        pop = heapq.heappop
+        limit = float("inf") if until is None else until
         while heap:
-            entry = pop(heap)
-            event = entry[2]
-            if event.cancelled:
+            entry = heappop(heap)
+            time, _, callback, args = entry
+            if callback is None and args.cancelled:
                 continue
-            if until is not None and entry[0] > until:
-                heapq.heappush(heap, entry)
+            if time > limit:
+                heappush(heap, entry)
                 break
-            self.now = entry[0]
-            event._sim = None  # fired: a later cancel() is a no-op
+            if callback is None:  # a handle entry: args is the EventHandle
+                handle = args
+                handle._sim = None  # fired: a later cancel() is a no-op
+                callback = handle.callback
+                args = handle.args
+            self.now = time
             self._live -= 1
-            event.callback(*event.args)
+            callback(*args)
             self._events_processed += 1
         if until is not None and self.now < until:
             self.now = until

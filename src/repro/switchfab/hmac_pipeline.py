@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hmacvec import HmacVector, sim_mac
+from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
 from repro.sim.clock import ns, us
 from repro.switchfab.tofino import (
     PacketEngine,
@@ -71,8 +71,9 @@ class FoldedHmacPipeline:
                 f"group of {len(receiver_keys)} exceeds the {MAX_RECEIVERS}-receiver "
                 f"limit of the {LOOPBACK_PORTS}-loopback-port design"
             )
-        self.subgroups: List[List[Tuple[int, bytes]]] = [
-            list(receiver_keys[i : i + SUBGROUP_SIZE])
+        # (receiver, prepared MAC state of its key) per subgroup.
+        self.subgroups: List[List[Tuple[int, object]]] = [
+            [(rid, mac_state(key)) for rid, key in receiver_keys[i : i + SUBGROUP_SIZE]]
             for i in range(0, len(receiver_keys), SUBGROUP_SIZE)
         ]
         # One subgroup's 4-vector is the unit of work; n subgroups consume n
@@ -100,7 +101,7 @@ class FoldedHmacPipeline:
         partials = []
         for index, subgroup in enumerate(self.subgroups):
             vector = HmacVector(
-                tuple((rid, sim_mac(key, auth_input)) for rid, key in subgroup)
+                tuple([(rid, mac_with(state, auth_input)) for rid, state in subgroup])
             )
             partials.append(
                 PartialVector(

@@ -41,7 +41,7 @@ class TestCpuQueueing:
         sim = Simulator()
         worker = Worker(sim)
         with pytest.raises(ValueError):
-            worker.cpu.submit(100, lambda: 0)
+            worker.execute(100, worker.handle, "a", 0)
 
     def test_negative_charge_rejected(self):
         sim = Simulator()
@@ -49,19 +49,12 @@ class TestCpuQueueing:
         with pytest.raises(ValueError):
             worker.charge(-5)
 
-    def test_utilization(self):
-        sim = Simulator()
-        worker = Worker(sim)
-        worker.execute(0, worker.handle, "a", us(25))
-        sim.run()
-        assert worker.cpu.utilization(us(100)) == pytest.approx(0.25)
-
     def test_queue_depth_tracked(self):
         sim = Simulator()
         worker = Worker(sim)
         for i in range(5):
             worker.execute(0, worker.handle, i, us(1))
-        assert worker.cpu.max_queue_depth == 4
+        assert worker.cpu.queue_depth == 4
         sim.run()
         assert worker.cpu.queue_depth == 0
 

@@ -255,6 +255,58 @@ class TestPlainHeap:
         assert sim.live_events == 0
 
 
+class TestPostAt:
+    """Handle-free events share the heap and the seq counter with handles."""
+
+    def test_interleaves_with_handle_events_in_time_and_seq_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(20, fired.append, "handle@20")
+        sim.post_at(10, fired.append, "post@10")
+        sim.post_at(20, fired.append, "post@20")
+        sim.schedule_at(10, fired.append, "handle@10")
+        sim.post_at(5, fired.append, "post@5")
+        sim.run()
+        assert fired == ["post@5", "post@10", "handle@10", "handle@20", "post@20"]
+
+    def test_counts_in_events_processed_and_live_events(self):
+        sim = Simulator()
+        sim.post_at(10, lambda: None)
+        handle = sim.schedule(10, lambda: None)
+        sim.post_at(30, lambda: None)
+        assert sim.live_events == 3
+        handle.cancel()
+        assert sim.live_events == 2
+        sim.run(until=20)
+        assert sim.live_events == 1 and sim.events_processed == 1
+        sim.run()
+        assert sim.live_events == 0 and sim.events_processed == 2
+
+    def test_run_until_pushes_entry_back_intact(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(100, lambda *args: fired.append((sim.now, args)), "a", 2)
+        assert sim.run(until=50) == 0
+        assert sim.now == 50 and sim.peek_time() == 100
+        sim.run()
+        assert fired == [(100, ("a", 2))]
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.schedule(100, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.post_at(50, lambda: None)
+
+    def test_peek_time_skips_cancelled_handle_before_post_entry(self):
+        sim = Simulator()
+        first = sim.schedule(10, lambda: None)
+        sim.post_at(20, lambda: None)
+        first.cancel()
+        assert sim.peek_time() == 20
+        assert sim.run() == 1
+
+
 class TestDeterminism:
     def test_same_seed_same_random_streams(self):
         a = Simulator(seed=42).streams.get("x")
