@@ -13,7 +13,7 @@ runs seconds); closed-loop client counts sweep each protocol to its knee.
 
 import pytest
 
-from repro.runtime import ClusterOptions, latency_throughput_sweep
+from repro.runtime import ClusterOptions, run_sweep
 from repro.sim.clock import ms
 
 from benchmarks.bench_common import fmt_row, knee, report, sweep_workers
@@ -36,7 +36,7 @@ def run_all():
     for label, extra, counts in SWEEPS:
         protocol = "zyzzyva" if label == "zyzzyva-f" else label
         base = ClusterOptions(protocol=protocol, seed=7, **extra)
-        curves[label] = latency_throughput_sweep(
+        curves[label] = run_sweep(
             base, counts, warmup_ns=ms(3), duration_ns=ms(12),
             workers=sweep_workers(),
         )

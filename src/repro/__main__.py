@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from repro.aom.messages import AuthVariant
-from repro.runtime import ClusterOptions, latency_throughput_sweep
+from repro.runtime import ClusterOptions, run_sweep
 from repro.runtime.cluster import ALL_PROTOCOLS
 from repro.runtime.harness import run_once
 from repro.runtime.microbench import run_offered_load, saturation_throughput
@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     counts = [int(c) for c in args.clients.split(",")]
-    results = latency_throughput_sweep(
+    results = run_sweep(
         ClusterOptions(protocol=args.protocol, f=args.f, seed=args.seed),
         counts,
         warmup_ns=ms(args.warmup_ms),

@@ -100,11 +100,6 @@ class Endpoint(Actor, EndpointPort):
         self.charge(cost.msg_handle_ns + int(cost.per_byte_ns * size))
         self.defer(self.fabric.transmit, self.address, dst, message, size)
 
-    def send_all(self, destinations, message: object) -> None:
-        """Unicast the same message to several hosts."""
-        for dst in destinations:
-            self.send(dst, message)
-
     # ------------------------------------------------------------- receive
 
     def receive(self, packet: Packet, arrival: int) -> None:

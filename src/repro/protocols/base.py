@@ -9,7 +9,7 @@ reply MACs, at-most-once caching, reply quorum collection, retransmission
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
@@ -115,6 +115,26 @@ class BaseReplica(Endpoint):
         """Send to all other replicas."""
         for addr in self.peers():
             self.send(addr, message)
+
+    def mac_broadcast(self, cls, body: bytes, *fields):
+        """Send every peer one ``cls(*fields, auth)``; return it.
+
+        ``auth`` is a MAC vector over ``body``, the message's
+        ``signed_body()``, with one entry per peer. The message is built
+        once and carries ``body`` as its memo, so no receiver digests it
+        again.
+        """
+        peers = self.peers()
+        message = cls(*fields, self.crypto.mac_vector(peers, body))
+        remember(message, "_signed_body", body)
+        for addr in peers:
+            self.send(addr, message)
+        return message
+
+    def signed(self, message):
+        """The copy of ``message`` whose ``signature`` covers its
+        ``signed_body()`` (charged)."""
+        return replace(message, signature=self.crypto.sign(message.signed_body()))
 
     # ------------------------------------------------------ client plumbing
 
@@ -283,6 +303,13 @@ class BaseReplica(Endpoint):
 class BaseClient(Endpoint):
     """Closed-loop client with reply-quorum collection and retransmission.
 
+    This is the client of every family that sends to a leader: a fresh
+    request goes to the leader of :attr:`view`, the newest view named by
+    a verified reply; a retry goes to every replica; ``reply_quorum``
+    matching replies (f+1 unless a subclass says otherwise) complete it.
+    ``proto`` labels its client-side metrics (the builder passes the
+    family's replica label).
+
     Retransmission uses exponential backoff with seeded jitter: the first
     retry fires after ``retry_timeout_ns``, each consecutive retry of the
     same request multiplies the timeout by ``retry_backoff`` up to
@@ -295,15 +322,13 @@ class BaseClient(Endpoint):
     closed loop moves on instead of hammering a dead quorum forever.
     """
 
-    #: Protocol label published on client-side metrics; subclasses override.
-    PROTO = "base"
-
     def __init__(
         self,
         sim: Simulator,
         client_id_name: str,
         group: ReplicaGroup,
-        reply_quorum: int,
+        proto: str = "base",
+        reply_quorum: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
         retry_timeout_ns: int = ms(5),
         retry_backoff: float = 2.0,
@@ -322,7 +347,9 @@ class BaseClient(Endpoint):
             )
         self.group = group
         self.crypto: Optional[CryptoContext] = None  # bound by the cluster builder
-        self.reply_quorum = reply_quorum
+        self.proto = proto
+        self.reply_quorum = group.f + 1 if reply_quorum is None else reply_quorum
+        self.view = 0
         self.retry_timeout_ns = retry_timeout_ns
         self.retry_backoff = retry_backoff
         self.retry_timeout_max_ns = (
@@ -438,8 +465,14 @@ class BaseClient(Endpoint):
     # ------------------------------------------------------------ transport
 
     def transmit_request(self, request: ClientRequest, first: bool) -> None:
-        """Protocol-specific send; subclasses override."""
-        raise NotImplementedError
+        """Send a fresh request to the view's leader, a retry to every
+        replica (a live one forwards it to the leader, and a faulty
+        leader gets suspected)."""
+        if first:
+            self.send(self.group.leader_addr(self.view), request)
+        else:
+            for addr in self.group.replica_addrs:
+                self.send(addr, request)
 
     # -------------------------------------------------------------- replies
 
@@ -464,6 +497,10 @@ class BaseClient(Endpoint):
         bucket[src] = reply
         if len(bucket) >= self.reply_quorum:
             self.complete(reply.result)
+        # Only after the reply is processed: a completion sends the next
+        # request to the view known before this reply.
+        if reply.view > self.view:
+            self.view = reply.view
 
     def complete(self, result: bytes) -> None:
         """Finish the in-flight request and continue the closed loop."""
@@ -480,7 +517,7 @@ class BaseClient(Endpoint):
         self.completions += 1
         tel = self.sim.telemetry
         if tel is not None:
-            self.sim.metrics.observe("client.request_latency_ns", latency, proto=self.PROTO)
+            self.sim.metrics.observe("client.request_latency_ns", latency, proto=self.proto)
             trace = (self.address, request_id)
             if self._first_reply_ns is not None and self.sim.now > self._first_reply_ns:
                 # From the first accepted reply until quorum: the tail

@@ -10,6 +10,5 @@ batching is the only way it approaches the others' throughput.
 """
 
 from repro.protocols.hotstuff.replica import HotStuffReplica
-from repro.protocols.hotstuff.client import HotStuffClient
 
-__all__ = ["HotStuffClient", "HotStuffReplica"]
+__all__ = ["HotStuffReplica"]

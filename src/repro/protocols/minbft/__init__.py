@@ -10,7 +10,6 @@ verification — which caps its throughput in Figure 7.
 """
 
 from repro.protocols.minbft.replica import MinBftReplica
-from repro.protocols.minbft.client import MinBftClient
 from repro.protocols.minbft.usig import Usig, UsigCertificate
 
-__all__ = ["MinBftClient", "MinBftReplica", "Usig", "UsigCertificate"]
+__all__ = ["MinBftReplica", "Usig", "UsigCertificate"]

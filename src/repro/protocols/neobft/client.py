@@ -17,8 +17,6 @@ from repro.protocols.messages import ClientRequest
 class NeoBftClient(BaseClient):
     """Closed-loop NeoBFT client over aom."""
 
-    PROTO = "neobft"
-
     def __init__(self, sim, name, group: ReplicaGroup, **kwargs):
         super().__init__(sim, name, group, reply_quorum=group.quorum, **kwargs)
         self.aom_sender: AomSenderLib = None  # installed by the builder
@@ -32,5 +30,4 @@ class NeoBftClient(BaseClient):
         if not first:
             # §5.3: while resending through aom, also unicast to every
             # replica so a faulty sequencer is detected and replaced.
-            for addr in self.group.replica_addrs:
-                self.send(addr, request)
+            super().transmit_request(request, first)

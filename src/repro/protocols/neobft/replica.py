@@ -401,8 +401,7 @@ class NeoBftReplica(BaseReplica):
         self._arm_blocked_timer()
         if self.is_leader:
             state = self._gap_state(slot)
-            own = GapDrop(self.view_id, self.address, slot)
-            own = GapDrop(own.view, own.replica, own.slot, self.crypto.sign(own.signed_body()))
+            own = self.signed(GapDrop(self.view_id, self.address, slot))
             state.drop_votes[self.address] = own
             self._broadcast_gap_find(slot)
         else:
@@ -443,8 +442,7 @@ class NeoBftReplica(BaseReplica):
 
     def _broadcast_gap_find(self, slot: int) -> None:
         state = self._gap_state(slot)
-        find = GapFind(self.view_id, slot)
-        find = GapFind(find.view, find.slot, self.crypto.sign(find.signed_body()))
+        find = self.signed(GapFind(self.view_id, slot))
         self.broadcast(find)
         if state.find_timer is not None:
             state.find_timer.cancel()
@@ -580,8 +578,7 @@ class NeoBftReplica(BaseReplica):
         if self.blocked_slot == find.slot:
             state = self._gap_state(find.slot)
             state.awaiting_decision = True
-            drop = GapDrop(self.view_id, self.address, find.slot)
-            drop = GapDrop(drop.view, drop.replica, drop.slot, self.crypto.sign(drop.signed_body()))
+            drop = self.signed(GapDrop(self.view_id, self.address, find.slot))
             self.send(src, drop)
         # If we have not reached the slot yet we stay silent; the leader
         # keeps rebroadcasting gap-find until a quorum forms.
@@ -615,13 +612,7 @@ class NeoBftReplica(BaseReplica):
 
     def _broadcast_gap_decision(self, decision: GapDecision) -> None:
         state = self._gap_state(decision.slot)
-        decision = GapDecision(
-            decision.view,
-            decision.slot,
-            decision.recv_oc,
-            decision.drop_evidence,
-            self.crypto.sign(decision.signed_body()),
-        )
+        decision = self.signed(decision)
         state.decision = decision
         self.broadcast(decision)
         self._after_valid_decision(decision)
@@ -662,10 +653,8 @@ class NeoBftReplica(BaseReplica):
         state = self._gap_state(decision.slot)
         if not state.sent_prepare:
             state.sent_prepare = True
-            prepare = GapPrepare(self.view_id, self.address, decision.slot, decision.is_drop)
-            prepare = GapPrepare(
-                prepare.view, prepare.replica, prepare.slot, prepare.is_drop,
-                self.crypto.sign(prepare.signed_body()),
+            prepare = self.signed(
+                GapPrepare(self.view_id, self.address, decision.slot, decision.is_drop)
             )
             state.prepares[decision.is_drop][self.address] = prepare
             self.broadcast(prepare)
@@ -691,11 +680,7 @@ class NeoBftReplica(BaseReplica):
         # 2f gap-prepares from distinct replicas (own one may count).
         if len(state.prepares[is_drop]) >= 2 * self.group.f:
             state.sent_commit = True
-            commit = GapCommit(self.view_id, self.address, slot, is_drop)
-            commit = GapCommit(
-                commit.view, commit.replica, commit.slot, commit.is_drop,
-                self.crypto.sign(commit.signed_body()),
-            )
+            commit = self.signed(GapCommit(self.view_id, self.address, slot, is_drop))
             state.commits[is_drop][self.address] = commit
             self.broadcast(commit)
             self._check_gap_commit(slot)
@@ -817,15 +802,13 @@ class NeoBftReplica(BaseReplica):
         self.metrics.add("view_changes_started")
         self.in_view_change = True
         self._vc_sent_for = new_view
-        vc = ViewChange(
+        vc = self.signed(ViewChange(
             view=self.view_id,
             new_view=new_view,
             replica=self.address,
             epoch_certs=tuple(self.epoch_certs.values()),
             log=self._log_summary(),
-        )
-        vc = ViewChange(vc.view, vc.new_view, vc.replica, vc.epoch_certs, vc.log,
-                        self.crypto.sign(vc.signed_body()))
+        ))
         self._vc_messages.setdefault(new_view, {})[self.address] = vc
         self.broadcast(vc)
         self._arm_vc_timer(new_view)
@@ -872,8 +855,7 @@ class NeoBftReplica(BaseReplica):
         if len(bucket) < self.group.quorum:
             return
         chosen = tuple(sorted(bucket.values(), key=lambda m: m.replica))[: self.group.quorum]
-        start = ViewStart(new_view, chosen)
-        start = ViewStart(start.new_view, start.view_changes, self.crypto.sign(start.signed_body()))
+        start = self.signed(ViewStart(new_view, chosen))
         self._sent_view_start[new_view] = True
         self.broadcast(start)
         self._adopt_view_start(start)
@@ -910,11 +892,7 @@ class NeoBftReplica(BaseReplica):
         """Propose our log end as ``new_view``'s epoch boundary."""
         slot = len(self.log)
         self._pending_epoch_entry = (new_view, slot)
-        epoch_start = EpochStart(new_view.epoch, slot, self.address)
-        epoch_start = EpochStart(
-            epoch_start.epoch, epoch_start.slot, epoch_start.replica,
-            self.crypto.sign(epoch_start.signed_body()),
-        )
+        epoch_start = self.signed(EpochStart(new_view.epoch, slot, self.address))
         votes = self._epoch_start_votes.setdefault((new_view.epoch, slot), {})
         votes[self.address] = epoch_start
         self.broadcast(epoch_start)

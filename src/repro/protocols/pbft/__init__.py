@@ -8,6 +8,5 @@ it for and the reason Figure 7 shows it well below NeoBFT.
 """
 
 from repro.protocols.pbft.replica import PbftReplica
-from repro.protocols.pbft.client import PbftClient
 
-__all__ = ["PbftClient", "PbftReplica"]
+__all__ = ["PbftReplica"]

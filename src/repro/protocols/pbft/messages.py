@@ -16,6 +16,26 @@ from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
 
 
+def pre_prepare_body(view: int, seq: int, digest: bytes) -> bytes:
+    """:meth:`PrePrepare.signed_body` of a pre-prepare with these fields."""
+    return fields_digest(b"pre-prepare", view, seq, digest)
+
+
+def prepare_body(view: int, seq: int, digest: bytes, replica: int) -> bytes:
+    """:meth:`Prepare.signed_body` of a prepare with these fields."""
+    return fields_digest(b"prepare", view, seq, digest, replica)
+
+
+def commit_body(view: int, seq: int, digest: bytes, replica: int) -> bytes:
+    """:meth:`Commit.signed_body` of a commit with these fields."""
+    return fields_digest(b"commit", view, seq, digest, replica)
+
+
+def checkpoint_body(seq: int, state_digest: bytes, replica: int) -> bytes:
+    """:meth:`Checkpoint.signed_body` of a checkpoint with these fields."""
+    return fields_digest(b"checkpoint", seq, state_digest, replica)
+
+
 @dataclass(frozen=True)
 class PrePrepare:
     """<PRE-PREPARE, v, n, d> plus the request batch (piggybacked)."""
@@ -30,9 +50,7 @@ class PrePrepare:
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
-            self,
-            "_signed_body",
-            fields_digest(b"pre-prepare", self.view, self.seq, self.digest),
+            self, "_signed_body", pre_prepare_body(self.view, self.seq, self.digest)
         )
 
     def wire_size(self) -> int:
@@ -56,9 +74,7 @@ class Prepare:
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
-            self,
-            "_signed_body",
-            fields_digest(b"prepare", self.view, self.seq, self.digest, self.replica),
+            self, "_signed_body", prepare_body(self.view, self.seq, self.digest, self.replica)
         )
 
 
@@ -76,9 +92,7 @@ class Commit:
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
-            self,
-            "_signed_body",
-            fields_digest(b"commit", self.view, self.seq, self.digest, self.replica),
+            self, "_signed_body", commit_body(self.view, self.seq, self.digest, self.replica)
         )
 
 
@@ -97,7 +111,7 @@ class Checkpoint:
         return self._signed_body or remember(
             self,
             "_signed_body",
-            fields_digest(b"checkpoint", self.seq, self.state_digest, self.replica),
+            checkpoint_body(self.seq, self.state_digest, self.replica),
         )
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.digests import remember
 from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
 from repro.protocols.messages import ClientRequest, batch_digest
@@ -17,6 +15,10 @@ from repro.protocols.pbft.messages import (
     PrePrepare,
     Prepare,
     PreparedProof,
+    checkpoint_body,
+    commit_body,
+    pre_prepare_body,
+    prepare_body,
 )
 from repro.sim.clock import ms
 
@@ -79,19 +81,6 @@ class PbftReplica(BaseReplica):
             self.slots[seq] = state
         return state
 
-    def _mac_broadcast(self, message) -> None:
-        """Attach a MAC vector for all peers and broadcast.
-
-        The authenticated copy carries the body its MACs cover, so no
-        receiver digests it again.
-        """
-        peers = self.peers()
-        body = message.signed_body()
-        authed = replace(message, auth=self.crypto.mac_vector(peers, body))
-        remember(authed, "_signed_body", body)
-        for rid in peers:
-            self.send(rid, authed)
-
     def _verify_mac(self, src: int, message) -> bool:
         return self.crypto.verify_vector_from(src, message.signed_body(), message.auth)
 
@@ -152,12 +141,12 @@ class PbftReplica(BaseReplica):
     def _send_pre_prepare(self, batch: List[ClientRequest]) -> None:
         seq = self.next_seq
         self.next_seq += 1
-        digest = batch_digest(tuple(batch))
+        batch = tuple(batch)
+        digest = batch_digest(batch)
         self.charge(self.cost.sha256_ns * (len(batch) + 1))
-        pre_prepare = PrePrepare(self.view, seq, digest, tuple(batch))
-        state = self._slot(seq)
-        state.pre_prepare = pre_prepare
-        self._mac_broadcast(pre_prepare)
+        self._slot(seq).pre_prepare = self.mac_broadcast(
+            PrePrepare, pre_prepare_body(self.view, seq, digest), self.view, seq, digest, batch
+        )
         # The primary does not send (or count) a prepare of its own; the
         # pre-prepare plays that role. Check in case 2f prepares raced in.
         self._check_prepared(seq)
@@ -179,8 +168,8 @@ class PbftReplica(BaseReplica):
                 return
             self._clear_request_timer(request)
         state.pre_prepare = message
-        prepare = Prepare(self.view, message.seq, message.digest, self.address)
-        self._mac_broadcast(prepare)
+        fields = (self.view, message.seq, message.digest, self.address)
+        prepare = self.mac_broadcast(Prepare, prepare_body(*fields), *fields)
         self._add_prepare_vote(message.seq, prepare)
 
     def _on_prepare(self, src: int, message: Prepare) -> None:
@@ -216,9 +205,9 @@ class PbftReplica(BaseReplica):
         matching = sum(1 for p in state.prepares.values() if p.digest == digest)
         if matching >= 2 * self.group.f:
             state.prepared = True
-            commit = Commit(self.view, seq, digest, self.address)
             state.sent_commit = True
-            self._mac_broadcast(commit)
+            fields = (self.view, seq, digest, self.address)
+            commit = self.mac_broadcast(Commit, commit_body(*fields), *fields)
             self._add_commit_vote(seq, commit)
 
     def _on_commit(self, src: int, message: Commit) -> None:
@@ -268,8 +257,8 @@ class PbftReplica(BaseReplica):
     def _send_checkpoint(self, seq: int) -> None:
         digest = self.app.digest()
         self.charge(self.cost.sha256_ns)
-        checkpoint = Checkpoint(seq, digest, self.address)
-        self._mac_broadcast(checkpoint)
+        fields = (seq, digest, self.address)
+        checkpoint = self.mac_broadcast(Checkpoint, checkpoint_body(*fields), *fields)
         self._add_checkpoint_vote(checkpoint)
 
     def _on_checkpoint(self, src: int, message: Checkpoint) -> None:
@@ -314,16 +303,12 @@ class PbftReplica(BaseReplica):
         self.metrics.add("view_changes_started")
         self.in_view_change = True
         self._vc_target = new_view
-        vc = PbftViewChange(
+        vc = self.signed(PbftViewChange(
             new_view=new_view,
             last_stable=self.last_stable,
             prepared=self._prepared_proofs(),
             replica=self.address,
-        )
-        vc = PbftViewChange(
-            vc.new_view, vc.last_stable, vc.prepared, vc.replica,
-            self.crypto.sign(vc.signed_body()),
-        )
+        ))
         self._vc_messages.setdefault(new_view, {})[self.address] = vc
         self.broadcast(vc)
         self._try_new_view(new_view)
@@ -384,10 +369,7 @@ class PbftReplica(BaseReplica):
             PrePrepare(new_view, proof.seq, proof.digest, proof.batch)
             for seq, proof in sorted(winners.items())
         )
-        new_view_msg = PbftNewView(new_view, chosen, pre_prepares)
-        new_view_msg = PbftNewView(
-            new_view, chosen, pre_prepares, self.crypto.sign(new_view_msg.signed_body())
-        )
+        new_view_msg = self.signed(PbftNewView(new_view, chosen, pre_prepares))
         self.broadcast(new_view_msg)
         self._adopt_new_view(new_view_msg)
 
@@ -432,8 +414,8 @@ class PbftReplica(BaseReplica):
             self.slots[pre_prepare.seq] = _SlotState()
             state = self.slots[pre_prepare.seq]
             state.pre_prepare = pre_prepare
-            prepare = Prepare(self.view, pre_prepare.seq, pre_prepare.digest, self.address)
-            self._mac_broadcast(prepare)
+            fields = (self.view, pre_prepare.seq, pre_prepare.digest, self.address)
+            prepare = self.mac_broadcast(Prepare, prepare_body(*fields), *fields)
             self._add_prepare_vote(pre_prepare.seq, prepare)
             max_seq = max(max_seq, pre_prepare.seq)
         if self.is_leader:

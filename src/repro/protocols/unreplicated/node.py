@@ -1,8 +1,11 @@
-"""Single-server request/reply with client MACs (no replication)."""
+"""Single-server request/reply with client MACs (no replication).
+
+Its client is the shared :class:`~repro.protocols.base.BaseClient`.
+"""
 
 from __future__ import annotations
 
-from repro.protocols.base import BaseClient, BaseReplica
+from repro.protocols.base import BaseReplica
 from repro.protocols.messages import ClientRequest
 
 
@@ -14,15 +17,3 @@ class UnreplicatedServer(BaseReplica):
     def on_message(self, src: int, message: object) -> None:
         if isinstance(message, ClientRequest) and self.screen_request(message):
             self.execute_request(message)
-
-
-class UnreplicatedClient(BaseClient):
-    """Sends to the single server; accepts its first valid reply."""
-
-    PROTO = "unreplicated"
-
-    def __init__(self, sim, name, group, **kwargs):
-        super().__init__(sim, name, group, reply_quorum=1, **kwargs)
-
-    def transmit_request(self, request: ClientRequest, first: bool) -> None:
-        self.send(self.group.replica_addrs[0], request)

@@ -22,16 +22,7 @@ SPEC_TIMEOUT_NS = us(80)
 class ZyzzyvaClient(BaseClient):
     """Closed-loop Zyzzyva client."""
 
-    PROTO = "zyzzyva"
-
-    def __init__(
-        self,
-        sim,
-        name,
-        group: ReplicaGroup,
-        **kwargs,
-    ):
-        kwargs.setdefault("retry_timeout_ns", 20_000_000)
+    def __init__(self, sim, name, group: ReplicaGroup, **kwargs):
         super().__init__(sim, name, group, reply_quorum=group.fast_quorum, **kwargs)
         self._spec_timer = None
         self._local_commits: Dict[int, LocalCommit] = {}
@@ -44,10 +35,7 @@ class ZyzzyvaClient(BaseClient):
             self._commit_sent = False
             self._local_commits = {}
             self._arm_spec_timer(request.request_id)
-            self.send(self.group.leader_addr(0), request)
-        else:
-            for addr in self.group.replica_addrs:
-                self.send(addr, request)
+        super().transmit_request(request, first)
 
     # ------------------------------------------------------------ fast path
 

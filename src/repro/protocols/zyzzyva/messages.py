@@ -5,10 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.crypto.digests import chain_step, fields_digest
+from repro.crypto.digests import chain_step, fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
+
+
+def order_req_body(view: int, seq: int, history: bytes, digest: bytes) -> bytes:
+    """:meth:`OrderReq.signed_body` of an order-req with these fields."""
+    return fields_digest(b"order-req", view, seq, history, digest)
 
 
 @dataclass(frozen=True)
@@ -22,8 +27,14 @@ class OrderReq:
     batch: Tuple[ClientRequest, ...]
     auth: Optional[HmacVector] = None
 
+    _signed_body = None  # memo of signed_body(); see remember
+
     def signed_body(self) -> bytes:
-        return fields_digest(b"order-req", self.view, self.seq, self.history, self.digest)
+        return self._signed_body or remember(
+            self,
+            "_signed_body",
+            order_req_body(self.view, self.seq, self.history, self.digest),
+        )
 
     def wire_size(self) -> int:
         size = 84 + sum(r.wire_size() for r in self.batch)

@@ -15,6 +15,7 @@ from repro.protocols.zyzzyva.messages import (
     LocalCommit,
     OrderReq,
     SpecResponseInfo,
+    order_req_body,
 )
 
 
@@ -61,15 +62,11 @@ class ZyzzyvaReplica(BaseReplica):
     def _send_order_req(self, batch: List[ClientRequest]) -> None:
         seq = self.next_seq
         self.next_seq += 1
-        digest = batch_digest(tuple(batch))
+        batch = tuple(batch)
+        digest = batch_digest(batch)
         self.charge(self.cost.sha256_ns * (len(batch) + 1))
-        new_history = chain_step(self.log.head_hash(), digest)
-        order = OrderReq(self.view, seq, new_history, digest, tuple(batch))
-        peers = self.peers()
-        authed = OrderReq(order.view, order.seq, order.history, order.digest,
-                          order.batch, self.crypto.mac_vector(peers, order.signed_body()))
-        for rid in peers:
-            self.send(rid, authed)
+        fields = (self.view, seq, chain_step(self.log.head_hash(), digest), digest)
+        order = self.mac_broadcast(OrderReq, order_req_body(*fields), *fields, batch)
         self._apply_order(order)
 
     def _on_order_req(self, src: int, order: OrderReq) -> None:

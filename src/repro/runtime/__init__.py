@@ -12,7 +12,6 @@ from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
 from repro.runtime.harness import (
     Measurement,
     RunResult,
-    latency_throughput_sweep,
     run_once,
     run_points,
     run_sweep,
@@ -24,7 +23,6 @@ __all__ = [
     "Measurement",
     "RunResult",
     "build_cluster",
-    "latency_throughput_sweep",
     "run_once",
     "run_points",
     "run_sweep",

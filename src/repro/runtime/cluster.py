@@ -24,6 +24,7 @@ from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.net.fabric import Fabric
 from repro.net.profiles import NetworkProfile
 from repro.protocols.base import BaseClient, BaseReplica, ReplicaGroup
+from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:
@@ -41,11 +42,12 @@ class Family:
     outside this table compares protocol names.
     """
 
-    module: str  # package exporting both classes
+    module: str  # package exporting the classes
     replica: str
-    client: str
+    client: Optional[str]  # None: the shared BaseClient (sends to the leader)
     batch_size: Optional[int]  # default batch cap; None: the family has no batcher
     replica_factor: int  # n = replica_factor * f + 1; 0 is a single server
+    retry_timeout_ns: int  # a client's first retry; client_kwargs may override it
     # Authenticator the aom sequencer stamps: "hm" (HMAC vector) or "pk"
     # (signature), aom's AuthVariant values. None: no in-network ordering.
     sequencer: Optional[str] = None
@@ -61,28 +63,36 @@ class Family:
 # it further trades >10 ms latency for throughput).
 FAMILIES: Dict[str, Family] = {
     "neobft-hm": Family(
-        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3, sequencer="hm"
+        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3,
+        retry_timeout_ns=ms(5), sequencer="hm",
     ),
     "neobft-pk": Family(
-        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3, sequencer="pk"
+        "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3,
+        retry_timeout_ns=ms(5), sequencer="pk",
     ),
     "neobft-bn": Family(
         "repro.protocols.neobft", "NeoBftReplica", "NeoBftClient", None, 3,
-        sequencer="hm", byzantine_sequencer=True,
+        retry_timeout_ns=ms(5), sequencer="hm", byzantine_sequencer=True,
     ),
-    "pbft": Family("repro.protocols.pbft", "PbftReplica", "PbftClient", 6, 3, stable_leader=True),
+    "pbft": Family(
+        "repro.protocols.pbft", "PbftReplica", None, 6, 3,
+        retry_timeout_ns=ms(20), stable_leader=True,
+    ),
     "zyzzyva": Family(
-        "repro.protocols.zyzzyva", "ZyzzyvaReplica", "ZyzzyvaClient", 10, 3, stable_leader=True
+        "repro.protocols.zyzzyva", "ZyzzyvaReplica", "ZyzzyvaClient", 10, 3,
+        retry_timeout_ns=ms(20), stable_leader=True,
     ),
     "hotstuff": Family(
-        "repro.protocols.hotstuff", "HotStuffReplica", "HotStuffClient", 150, 3, stable_leader=True
+        "repro.protocols.hotstuff", "HotStuffReplica", None, 150, 3,
+        retry_timeout_ns=ms(50), stable_leader=True,
     ),
     "minbft": Family(
-        "repro.protocols.minbft", "MinBftReplica", "MinBftClient", 10, 2,
-        stable_leader=True, trusted_counter=True,
+        "repro.protocols.minbft", "MinBftReplica", None, 10, 2,
+        retry_timeout_ns=ms(20), stable_leader=True, trusted_counter=True,
     ),
     "unreplicated": Family(
-        "repro.protocols.unreplicated", "UnreplicatedServer", "UnreplicatedClient", None, 0
+        "repro.protocols.unreplicated", "UnreplicatedServer", None, None, 0,
+        retry_timeout_ns=ms(5),
     ),
 }
 ALL_PROTOCOLS = tuple(FAMILIES)
@@ -154,7 +164,8 @@ def build_cluster(options: ClusterOptions) -> Cluster:
     """
     family = family_of(options.protocol)
     module = importlib.import_module(family.module)
-    replica_cls, client_cls = getattr(module, family.replica), getattr(module, family.client)
+    replica_cls = getattr(module, family.replica)
+    client_cls = getattr(module, family.client) if family.client else BaseClient
     sim = Simulator(seed=options.seed)
     fabric = Fabric(sim, options.profile)
     authority = KeyAuthority(FastBackend(), b"cluster-bootstrap/%d" % options.seed)
@@ -188,10 +199,12 @@ def build_cluster(options: ClusterOptions) -> Cluster:
     if family.sequencer is not None:
         service = _wire_aom_receivers(options, family, sim, fabric, authority, replicas)
 
+    client_kwargs = {"retry_timeout_ns": family.retry_timeout_ns, **options.client_kwargs}
     clients = []
     for i in range(options.num_clients):
         client = client_cls(
-            sim, f"client-{i}", group, cost_model=options.cost_model, **options.client_kwargs
+            sim, f"client-{i}", group, proto=replica_cls.PROTO,
+            cost_model=options.cost_model, **client_kwargs,
         )
         client.attach(fabric)
         client.crypto = _bind_crypto(client, authority, options.cost_model)

@@ -239,22 +239,3 @@ def run_sweep(
         for seed in seed_list
     ]
     return run_points(points, warmup_ns, duration_ns, next_op, workers=workers)
-
-
-def latency_throughput_sweep(
-    base_options: ClusterOptions,
-    client_counts: List[int],
-    warmup_ns: int = ms(20),
-    duration_ns: int = ms(100),
-    next_op: Optional[Callable[[], bytes]] = None,
-    workers: int = 1,
-) -> List[RunResult]:
-    """The Figure 7 sweep: one run per closed-loop client count."""
-    return run_sweep(
-        base_options, client_counts, warmup_ns, duration_ns, next_op, workers=workers
-    )
-
-
-def max_throughput(results: List[RunResult]) -> RunResult:
-    """The knee point: highest-throughput run of a sweep."""
-    return max(results, key=lambda r: r.throughput_ops)

@@ -25,7 +25,7 @@ from repro.sim.clock import (
 )
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.actors import Actor, Cpu
-from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter, TimeSeries
+from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "RateMeter",
     "SECOND",
     "Simulator",
-    "TimeSeries",
     "format_duration",
     "format_duration",
     "ms",

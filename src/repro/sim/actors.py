@@ -146,7 +146,7 @@ class Actor:
 
 
 class Timer:
-    """A restartable timer owned by an actor.
+    """A one-shot timer owned by an actor; re-arming means making a new one.
 
     The underlying engine event is created lazily (at handler completion),
     so a timer can be cancelled before it was ever armed.

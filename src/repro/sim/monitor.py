@@ -2,13 +2,11 @@
 
 These are the objects the benchmark harness reads at the end of a run:
 latency histograms with exact percentiles, windowed throughput meters,
-time series for failover timelines, and the labeled metrics registry
-every layer counts into.
+and the labeled metrics registry every layer counts into.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -137,13 +135,6 @@ class Histogram:
             out.append((self._samples[-1], 1.0))
         return out
 
-    def fraction_at_or_below(self, value: int) -> float:
-        """CDF evaluated at ``value``."""
-        if not self._samples:
-            raise ValueError(f"histogram {self.name!r} is empty")
-        self._ensure_sorted()
-        return bisect.bisect_right(self._samples, value) / len(self._samples)
-
 
 class RateMeter:
     """Counts completions inside a measurement window to compute throughput."""
@@ -189,61 +180,6 @@ class RateMeter:
         return self.completions * 1e9 / elapsed
 
 
-class TimeSeries:
-    """(time, value) samples, e.g. instantaneous throughput during failover."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.points: List[Tuple[int, float]] = []
-
-    def record(self, time: int, value: float) -> None:
-        """Append one sample; times must be non-decreasing."""
-        if self.points and time < self.points[-1][0]:
-            raise ValueError("time series must be recorded in time order")
-        self.points.append((time, value))
-
-    def values(self) -> List[float]:
-        """Just the values, in time order."""
-        return [v for _, v in self.points]
-
-    def between(self, start: int, end: int) -> List[Tuple[int, float]]:
-        """Samples with start <= time <= end."""
-        return [(t, v) for t, v in self.points if start <= t <= end]
-
-    def rate(self, window_ns: int) -> List[Tuple[int, float]]:
-        """Windowed per-second rate of a cumulative series.
-
-        Treats the recorded values as a monotone cumulative count (e.g.
-        total completions) sampled at arbitrary times, and returns
-        ``(window_end, rate_per_sec)`` for consecutive windows of
-        ``window_ns`` — the instantaneous-throughput curve a failover
-        plot needs. Values between samples follow step interpolation
-        (the count last observed at or before the window boundary).
-        """
-        if window_ns <= 0:
-            raise ValueError(f"window_ns must be > 0, got {window_ns!r}")
-        if len(self.points) < 2:
-            return []
-        times = [t for t, _ in self.points]
-
-        def value_at(time: int) -> float:
-            index = bisect.bisect_right(times, time) - 1
-            return self.points[index][1] if index >= 0 else self.points[0][1]
-
-        start, end = times[0], times[-1]
-        out: List[Tuple[int, float]] = []
-        window_start = start
-        while window_start < end:
-            window_end = min(window_start + window_ns, end)
-            delta = value_at(window_end) - value_at(window_start)
-            out.append((window_end, delta * 1e9 / (window_end - window_start)))
-            window_start += window_ns
-        return out
-
-
-# ------------------------------------------------------------------ metrics
-
-#: A fully-resolved instrument identity: (name, sorted (label, value) pairs).
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 

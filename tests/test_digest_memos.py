@@ -47,6 +47,9 @@ MEMOIZED = {
     pbft_messages.Prepare: lambda: pbft_messages.Prepare(1, 3, b"d" * 32, 2),
     pbft_messages.Commit: lambda: pbft_messages.Commit(1, 3, b"d" * 32, 2),
     pbft_messages.Checkpoint: lambda: pbft_messages.Checkpoint(127, b"s" * 32, 2),
+    zyzzyva_messages.OrderReq: lambda: zyzzyva_messages.OrderReq(
+        1, 3, b"h" * 32, b"d" * 32, (REQUEST,)
+    ),
 }
 
 #: The memo attribute of each digest method.

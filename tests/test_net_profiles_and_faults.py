@@ -187,7 +187,8 @@ class TestInjectors:
 class TestEndpointCounters:
     def test_send_and_receive_counted(self):
         sim, fabric, a, b = pair()
-        a.execute_now(a.send_all, [b.address, b.address], "x")
+        for _ in range(2):
+            a.execute_now(a.send, b.address, "x")
         sim.run()
         snap = sim.metrics.snapshot()
         assert snap.counter("net.sent", host=a.name) == 2
@@ -200,7 +201,8 @@ class TestInterposers:
         b.add_receive_interposer(
             lambda src, m: None if m == "drop" else m.upper()
         )
-        a.execute_now(a.send_all, [b.address, b.address], "drop")
+        for _ in range(2):
+            a.execute_now(a.send, b.address, "drop")
         a.execute_now(a.send, b.address, "keep")
         sim.run()
         assert b.seen == ["KEEP"]
@@ -239,7 +241,7 @@ class TestInterposers:
         remove = a.add_send_interposer(
             lambda dst, m: None if m == "drop" else (dst, m)
         )
-        a.execute_now(a.send_all, [b.address], "drop")
+        a.execute_now(a.send, b.address, "drop")
         a.execute_now(a.send, b.address, "x")
         sim.run()
         assert b.seen == [(b.address, "x")]

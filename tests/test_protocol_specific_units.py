@@ -5,7 +5,7 @@ checkpoints, unreplicated at-most-once."""
 import pytest
 
 from repro.faults.network import drop_fraction_for
-from repro.protocols.messages import ClientRequest
+from repro.protocols.messages import ClientReply, ClientRequest
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim.clock import ms
 
@@ -203,3 +203,39 @@ class TestUnreplicated:
         client.execute_now(client.send, server.address, stale)
         cluster.sim.run_for(ms(1))
         assert server.metrics.get("ops_executed") == executed
+
+
+class TestLeaderClient:
+    """The shared client sends a fresh request to the leader of the newest
+    view a *verified* reply named (PBFT here)."""
+
+    def first_sends(self, forge_view=None, reply_view=None):
+        cluster = build_cluster(ClusterOptions(protocol="pbft", num_clients=1, seed=5))
+        client = cluster.clients[0]
+        sends = []
+        client.add_send_interposer(
+            lambda dst, message: sends.append((dst, message.request_id)) or message
+        )
+        ops = [b"a", b"b"]
+        client.next_op = lambda: ops.pop(0) if ops else None
+        client.start()
+        cluster.sim.run_for(ms(0.005))
+        assert client.inflight is not None and not sends[1:]
+        request_id = client.inflight.request_id
+        if forge_view is not None:
+            client.on_message(1, ClientReply(forge_view, 1, request_id, b"a", tag=b"\0" * 4))
+        if reply_view is not None:
+            cluster.replicas[1].reply_to_client(client.address, reply_view, request_id, b"a")
+        cluster.sim.run_for(ms(2))
+        assert client.completions == 2
+        return client, sends
+
+    def test_unverified_reply_leaves_the_view(self):
+        client, sends = self.first_sends(forge_view=5)
+        assert sends == [(0, 1), (0, 2)]
+        assert client.view == 0
+
+    def test_verified_reply_moves_the_view(self):
+        client, sends = self.first_sends(reply_view=1)
+        assert sends == [(0, 1), (1, 2)]
+        assert client.view == 1

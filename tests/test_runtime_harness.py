@@ -13,12 +13,11 @@ from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.runtime.cluster import ALL_PROTOCOLS, family_of
 from repro.runtime.harness import (
     default_echo_op,
-    latency_throughput_sweep,
-    max_throughput,
     run_once,
     run_sweep,
 )
 from repro.sim.clock import ms
+from repro.telemetry import Telemetry
 
 
 class TestClusterOptions:
@@ -39,6 +38,36 @@ class TestClusterOptions:
     def test_batch_resolution(self):
         assert ClusterOptions(protocol="pbft").resolved_batch(6) == 6
         assert ClusterOptions(protocol="pbft", batch_size=32).resolved_batch(6) == 32
+
+
+#: Each family's built client: class, first retry, reply quorum at f=1,
+#: and the ``proto`` label on its request-latency histogram.
+BUILT_CLIENTS = {
+    "neobft-hm": ("NeoBftClient", ms(5), 3, "neobft"),
+    "neobft-pk": ("NeoBftClient", ms(5), 3, "neobft"),
+    "neobft-bn": ("NeoBftClient", ms(5), 3, "neobft"),
+    "pbft": ("BaseClient", ms(20), 2, "pbft"),
+    "zyzzyva": ("ZyzzyvaClient", ms(20), 4, "zyzzyva"),
+    "hotstuff": ("BaseClient", ms(50), 2, "hotstuff"),
+    "minbft": ("BaseClient", ms(20), 2, "minbft"),
+    "unreplicated": ("BaseClient", ms(5), 1, "unreplicated"),
+}
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_built_client(protocol):
+    name, retry_timeout_ns, reply_quorum, proto = BUILT_CLIENTS[protocol]
+    cluster = build_cluster(ClusterOptions(protocol=protocol, num_clients=1, seed=3))
+    result = Measurement(cluster, ms(1), ms(3), telemetry=Telemetry()).run()
+    client = cluster.clients[0]
+    assert type(client).__name__ == name
+    assert (client.retry_timeout_ns, client.reply_quorum) == (retry_timeout_ns, reply_quorum)
+    assert result.metrics.histogram_summary("client.request_latency_ns", proto=proto)
+
+
+def test_client_kwargs_override_the_row_retry_timeout():
+    options = ClusterOptions(protocol="pbft", client_kwargs={"retry_timeout_ns": ms(1)})
+    assert build_cluster(options).clients[0].retry_timeout_ns == ms(1)
 
 
 class TestBuildCluster:
@@ -118,7 +147,7 @@ class TestMeasurement:
         assert result.completions > len(result.latency)  # warmup ops not recorded
 
     def test_sweep_and_knee(self):
-        results = latency_throughput_sweep(
+        results = run_sweep(
             ClusterOptions(protocol="unreplicated", seed=4),
             client_counts=[1, 8],
             warmup_ns=ms(1),
@@ -126,7 +155,6 @@ class TestMeasurement:
         )
         assert len(results) == 2
         assert results[1].throughput_ops > results[0].throughput_ops
-        assert max_throughput(results) is results[1]
 
     def test_custom_op_source(self):
         seen = []

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter, TimeSeries
+from repro.sim.monitor import Histogram, MetricsRegistry, RateMeter
 
 
 class TestCounter:
@@ -74,13 +74,6 @@ class TestHistogram:
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
 
-    def test_fraction_at_or_below(self):
-        histogram = Histogram()
-        histogram.extend([10, 20, 30, 40])
-        assert histogram.fraction_at_or_below(25) == 0.5
-        assert histogram.fraction_at_or_below(5) == 0.0
-        assert histogram.fraction_at_or_below(40) == 1.0
-
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
     def test_percentile_bounds(self, samples):
         histogram = Histogram()
@@ -128,52 +121,3 @@ class TestRateMeter:
         meter.close_window(3000)
         assert meter.completions == 2
         assert meter.throughput_per_sec() == pytest.approx(2 * 1e9 / 1000)
-
-
-class TestTimeSeries:
-    def test_records_in_order(self):
-        series = TimeSeries()
-        series.record(1, 10.0)
-        series.record(2, 20.0)
-        assert series.values() == [10.0, 20.0]
-
-    def test_rejects_time_regression(self):
-        series = TimeSeries()
-        series.record(10, 1.0)
-        with pytest.raises(ValueError):
-            series.record(5, 2.0)
-
-    def test_between(self):
-        series = TimeSeries()
-        for t in range(10):
-            series.record(t, float(t))
-        assert series.between(3, 6) == [(3, 3.0), (4, 4.0), (5, 5.0), (6, 6.0)]
-
-    def test_rate_constant_slope(self):
-        series = TimeSeries()
-        # Cumulative count rising by 1 per 100ns -> 1e7 per second.
-        for i in range(11):
-            series.record(i * 100, float(i))
-        rates = series.rate(500)
-        assert [t for t, _ in rates] == [500, 1000]
-        for _, rate in rates:
-            assert rate == pytest.approx(5 * 1e9 / 500)
-
-    def test_rate_sees_a_stall(self):
-        series = TimeSeries()
-        series.record(0, 0.0)
-        series.record(100, 10.0)
-        series.record(1000, 10.0)  # flat: an outage window
-        series.record(1100, 20.0)
-        rates = dict(series.rate(500))
-        assert rates[500] > 0
-        assert rates[1000] == 0.0  # the stall shows up as zero throughput
-        assert rates[1100] > 0
-
-    def test_rate_degenerate_inputs(self):
-        series = TimeSeries()
-        assert series.rate(100) == []
-        series.record(0, 1.0)
-        assert series.rate(100) == []
-        with pytest.raises(ValueError):
-            series.record(10, 2.0) or series.rate(0)
