@@ -1,44 +1,31 @@
 """Cryptographic substrate.
 
-Everything NeoBFT and the baseline protocols need, implemented from scratch
-where the paper's hardware implements it from scratch:
+What a run computes, and what it charges for it:
 
-- :mod:`repro.crypto.siphash` — SipHash-2-4 and HalfSipHash-2-4 (the paper's
-  in-switch keyed hash, after Yoo & Chen's unrolled Tofino design).
-- :mod:`repro.crypto.ecdsa` — secp256k1 ECDSA with a windowed generator
-  precompute table (mirroring the FPGA coprocessor's precompute module).
-- :mod:`repro.crypto.digests` — SHA-256 digests and hash chains (the
-  coprocessor's hash-chaining technique and NeoBFT's O(1) log hash).
-- :mod:`repro.crypto.hmacvec` — per-receiver HMAC vectors (PBFT-style
-  authenticators and the aom-hm header authenticator).
-- :mod:`repro.crypto.backend` — ``real`` (full EC math) and ``fast``
-  (simulation-grade, semantics-preserving) backends behind one interface,
-  both charging identical simulated CPU costs via the
-  :class:`~repro.crypto.costmodel.CostModel`.
+- signatures are 16-byte keyed BLAKE2b tags made by the
+  :class:`~repro.crypto.backend.KeyAuthority`, charged at the cost of a
+  secp256k1 ECDSA sign or verify (or a threshold share, combine or USIG
+  attestation);
+- MACs are keyed BLAKE2s tags (:mod:`repro.crypto.hmacvec`) in place of
+  the paper's SipHash and in-switch HalfSipHash, charged at their cost;
+- digests and hash chains are SHA-256 (:mod:`repro.crypto.digests`).
+
+Every cost comes from the :class:`~repro.crypto.costmodel.CostModel`.
+The switch's HalfSipHash pipeline and the FPGA's ECDSA signer are modelled
+from structural parameters in :mod:`repro.switchfab`.
 """
 
-from repro.crypto.backend import (
-    CryptoContext,
-    FastBackend,
-    KeyAuthority,
-    RealBackend,
-    Signature,
-)
+from repro.crypto.backend import CryptoContext, KeyAuthority, Signature
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import HashChain, sha256_digest
 from repro.crypto.hmacvec import HmacVector
-from repro.crypto.siphash import halfsiphash24, siphash24
 
 __all__ = [
     "CostModel",
     "CryptoContext",
-    "FastBackend",
     "HashChain",
     "HmacVector",
     "KeyAuthority",
-    "RealBackend",
     "Signature",
-    "halfsiphash24",
     "sha256_digest",
-    "siphash24",
 ]

@@ -1,23 +1,14 @@
-"""Signature backends and the per-node crypto context.
+"""The key authority and the per-node crypto context.
 
-Two interchangeable backends sit behind one interface:
-
-- :class:`RealBackend` signs with the from-scratch secp256k1 ECDSA in
-  :mod:`repro.crypto.ecdsa`. Used by the crypto test suite and available
-  for (slow) end-to-end runs.
-- :class:`FastBackend` produces simulation-grade signatures: a keyed
-  BLAKE2b tag under a per-identity secret held *only* by the
-  :class:`KeyAuthority`.
-  Within the simulation it preserves the security semantics that matter to
-  the protocols — a signature verifies if and only if it was produced by
-  the claimed signer's own ``sign`` call over exactly those bytes — while
-  being ~10^4x cheaper in wall-clock time. Byzantine behaviours in
-  :mod:`repro.faults` manipulate protocol state, never the key store, so
-  unforgeability is preserved by construction.
-
-Either way, nodes go through a :class:`CryptoContext`, which charges the
-calibrated simulated CPU cost for every operation. Simulated time is
-therefore identical under both backends.
+A run never computes a public-key signature. :class:`KeyAuthority` signs
+with a 16-byte keyed BLAKE2b tag under a per-identity secret that only it
+holds, and :class:`CryptoContext` charges the calibrated secp256k1 ECDSA
+(or threshold, or USIG) cost for every sign and verify through the
+:class:`~repro.crypto.costmodel.CostModel`. Within the simulation the tag
+keeps the security semantics the protocols rely on: a signature verifies
+if and only if it was made for the claimed signer over exactly those
+bytes. Byzantine behaviours in :mod:`repro.faults` manipulate protocol
+state, never the key store, so unforgeability holds by construction.
 """
 
 from __future__ import annotations
@@ -29,9 +20,13 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
-from repro.crypto.ecdsa import PrivateKey, PublicKey
 from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
 from repro.sim.monitor import MetricsRegistry
+
+#: Derives every identity secret (see :meth:`KeyAuthority.register`).
+IDENTITY_SEED = b"repro"
+#: Bytes in a signature tag.
+SIGNATURE_TAG_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,9 @@ class Signature:
 
     signer_id: int
     payload: bytes
-    scheme: str
 
     def wire_size(self) -> int:
-        """Bytes on the wire (64 for ECDSA r||s, 16 for fast tags)."""
+        """Bytes on the wire (the 16-byte tag)."""
         return len(self.payload)
 
 
@@ -57,18 +51,23 @@ class KeyAuthority:
     session-establishment handshake would settle them once at startup.
     """
 
-    def __init__(self, backend: "SignatureBackend", session_secret: bytes):
-        self.backend = backend
+    def __init__(self, session_secret: bytes):
         self._session_secret = session_secret
+        self._secrets: Dict[int, bytes] = {}
         self._session_keys: Dict[Tuple[int, int], bytes] = {}
 
     def register(self, node_id: int) -> None:
-        """Create key material for a node identity (idempotent)."""
-        self.backend.register(node_id)
+        """Create the identity secret of ``node_id`` (idempotent): the first
+        16 bytes of SHA-256(IDENTITY_SEED || b"/identity/" || 8-byte id)."""
+        if node_id not in self._secrets:
+            self._secrets[node_id] = hashlib.sha256(
+                IDENTITY_SEED + b"/identity/" + node_id.to_bytes(8, "big")
+            ).digest()[:16]
 
     def verify(self, signature: Signature, data: bytes) -> bool:
         """Check that ``signature`` is valid for ``data``."""
-        return self.backend.verify(signature, data)
+        secret = self._secrets.get(signature.signer_id)
+        return secret is not None and signature.payload == _tag(secret, data)
 
     def sign_as(self, node_id: int, data: bytes) -> Signature:
         """Sign on behalf of ``node_id``.
@@ -77,7 +76,7 @@ class KeyAuthority:
         this; the contexts are handed out by the cluster builder, one per
         node, which is what scopes signing capability to the key owner.
         """
-        return self.backend.sign(node_id, data)
+        return Signature(node_id, _tag(self._secrets[node_id], data))
 
     def session_key(self, node_a: int, node_b: int) -> bytes:
         """The 8-byte MAC key shared by the unordered pair {a, b}.
@@ -97,85 +96,8 @@ class KeyAuthority:
         return key
 
 
-class SignatureBackend:
-    """Interface both backends implement."""
-
-    name = "abstract"
-
-    def register(self, node_id: int) -> None:
-        raise NotImplementedError
-
-    def sign(self, node_id: int, data: bytes) -> Signature:
-        raise NotImplementedError
-
-    def verify(self, signature: Signature, data: bytes) -> bool:
-        raise NotImplementedError
-
-
-class RealBackend(SignatureBackend):
-    """secp256k1 ECDSA over SHA-256 digests."""
-
-    name = "real"
-
-    def __init__(self, seed: bytes = b"repro"):
-        self._seed = seed
-        self._private: Dict[int, PrivateKey] = {}
-        self._public: Dict[int, PublicKey] = {}
-
-    def register(self, node_id: int) -> None:
-        if node_id in self._private:
-            return
-        key = PrivateKey.from_seed(self._seed + node_id.to_bytes(8, "big"))
-        self._private[node_id] = key
-        self._public[node_id] = key.public_key()
-
-    def public_key(self, node_id: int) -> PublicKey:
-        """The registered public key for ``node_id``."""
-        return self._public[node_id]
-
-    def sign(self, node_id: int, data: bytes) -> Signature:
-        digest = sha256_digest(data)
-        r, s = self._private[node_id].sign(digest)
-        return Signature(node_id, r.to_bytes(32, "big") + s.to_bytes(32, "big"), self.name)
-
-    def verify(self, signature: Signature, data: bytes) -> bool:
-        public = self._public.get(signature.signer_id)
-        if public is None or signature.scheme != self.name or len(signature.payload) != 64:
-            return False
-        r = int.from_bytes(signature.payload[:32], "big")
-        s = int.from_bytes(signature.payload[32:], "big")
-        return public.verify(sha256_digest(data), (r, s))
-
-
-class FastBackend(SignatureBackend):
-    """Simulation-grade signatures: BLAKE2b tags under authority-held secrets."""
-
-    name = "fast"
-
-    TAG_SIZE = 16
-
-    def __init__(self, seed: bytes = b"repro"):
-        self._seed = seed
-        self._secrets: Dict[int, bytes] = {}
-
-    def register(self, node_id: int) -> None:
-        if node_id not in self._secrets:
-            self._secrets[node_id] = hashlib.sha256(
-                self._seed + b"/identity/" + node_id.to_bytes(8, "big")
-            ).digest()[:16]
-
-    @staticmethod
-    def _tag(secret: bytes, data: bytes) -> bytes:
-        return hashlib.blake2b(data, key=secret, digest_size=FastBackend.TAG_SIZE).digest()
-
-    def sign(self, node_id: int, data: bytes) -> Signature:
-        return Signature(node_id, self._tag(self._secrets[node_id], data), self.name)
-
-    def verify(self, signature: Signature, data: bytes) -> bool:
-        secret = self._secrets.get(signature.signer_id)
-        if secret is None or signature.scheme != self.name:
-            return False
-        return signature.payload == self._tag(secret, data)
+def _tag(secret: bytes, data: bytes) -> bytes:
+    return hashlib.blake2b(data, key=secret, digest_size=SIGNATURE_TAG_SIZE).digest()
 
 
 class CryptoContext:
@@ -209,13 +131,10 @@ class CryptoContext:
         """Read-only view of the registry for benchmarks/scorecard/workloads.py."""
         return MappingProxyType(self.counters.counts)
 
-    def _bill(self, amount: int) -> None:
-        if self._charge is not None:
-            self._charge(amount)
-
     def bill(self, amount: int) -> None:
         """Charge arbitrary crypto work (e.g. switch-scheme tag checks)."""
-        self._bill(amount)
+        if self._charge is not None:
+            self._charge(amount)
 
     def bind(self, host) -> "CryptoContext":
         """Charge ``host``'s CPU and count into its simulator's registry
@@ -229,7 +148,7 @@ class CryptoContext:
     def digest(self, data: bytes) -> bytes:
         """SHA-256 with cost accounting."""
         self.counters.add("digest")
-        self._bill(self.cost.sha256_ns)
+        self.bill(self.cost.sha256_ns)
         return sha256_digest(data)
 
     # --------------------------------------------------------- signatures
@@ -237,13 +156,13 @@ class CryptoContext:
     def sign(self, data: bytes) -> Signature:
         """Sign as this node; charges the public-key signing cost."""
         self.counters.add("sign")
-        self._bill(self.cost.ecdsa_sign_ns)
+        self.bill(self.cost.ecdsa_sign_ns)
         return self.authority.sign_as(self.node_id, data)
 
     def verify(self, signature: Signature, data: bytes) -> bool:
         """Verify any node's signature; charges the verification cost."""
         self.counters.add("verify")
-        self._bill(self.cost.ecdsa_verify_ns)
+        self.bill(self.cost.ecdsa_verify_ns)
         return self.authority.verify(signature, data)
 
     # ----------------------------------------------------- threshold sigs
@@ -251,13 +170,13 @@ class CryptoContext:
     def threshold_share(self, data: bytes) -> Signature:
         """Produce this node's threshold-signature share."""
         self.counters.add("share")
-        self._bill(self.cost.threshold_share_sign_ns)
+        self.bill(self.cost.threshold_share_sign_ns)
         return self.authority.sign_as(self.node_id, b"share/" + data)
 
     def verify_threshold_share(self, share: Signature, data: bytes) -> bool:
         """Verify another node's share."""
         self.counters.add("verify")
-        self._bill(self.cost.threshold_share_verify_ns)
+        self.bill(self.cost.threshold_share_verify_ns)
         return self.authority.verify(share, b"share/" + data)
 
     def combine_threshold(self, data: bytes) -> Signature:
@@ -269,13 +188,13 @@ class CryptoContext:
         performance comparison — NeoBFT's own safety never relies on it).
         """
         self.counters.add("combine")
-        self._bill(self.cost.threshold_combine_ns)
+        self.bill(self.cost.threshold_combine_ns)
         return self.authority.sign_as(self.node_id, b"combined/" + data)
 
     def verify_threshold_combined(self, combined: Signature, data: bytes) -> bool:
         """Verify a combined quorum-certificate signature."""
         self.counters.add("verify")
-        self._bill(self.cost.threshold_verify_ns)
+        self.bill(self.cost.threshold_verify_ns)
         return self.authority.verify(combined, b"combined/" + data)
 
     # --------------------------------------------------------------- MACs
@@ -321,12 +240,3 @@ class CryptoContext:
                 return self.mac_to(peer, data) == tag
         return False
 
-
-def make_authority(backend_name: str = "fast", seed: bytes = b"repro") -> KeyAuthority:
-    """Build a key authority for the requested backend (``fast``/``real``);
-    ``seed`` also derives its session keys."""
-    if backend_name == "fast":
-        return KeyAuthority(FastBackend(seed), seed)
-    if backend_name == "real":
-        return KeyAuthority(RealBackend(seed), seed)
-    raise ValueError(f"unknown crypto backend {backend_name!r}")

@@ -1,18 +1,15 @@
 """The calibrated cost model for simulated CPU charges.
 
 Every cryptographic and message-handling operation a node performs charges
-virtual CPU time through this table, whichever backend actually computed
-it. This is the single place performance calibration lives; DESIGN.md §4
-documents the provenance of each constant (order-of-magnitude figures for
-the paper's 2.9 GHz Xeon Gold testbed era).
-
-The constants are deliberately exposed as a dataclass so ablation benches
-can re-run experiments under perturbed cost assumptions.
+virtual CPU time through this table, whatever the simulation computed in
+its place. This is the single place performance calibration lives;
+DESIGN.md §4 documents the provenance of each constant (order-of-magnitude
+figures for the paper's 2.9 GHz Xeon Gold testbed era).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.sim.clock import us
 
@@ -50,17 +47,6 @@ class CostModel:
     def message_cost(self, payload_bytes: int) -> int:
         """Charge for receiving/sending one message of ``payload_bytes``."""
         return self.msg_handle_ns + int(self.per_byte_ns * payload_bytes)
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A uniformly faster/slower CPU (ablation helper)."""
-        scaled_fields = {}
-        for name, value in self.__dict__.items():
-            if name.endswith("_ns"):
-                if isinstance(value, int):
-                    scaled_fields[name] = int(value * factor)
-                else:
-                    scaled_fields[name] = value * factor
-        return replace(self, **scaled_fields)
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -8,7 +8,7 @@ the function that removes exactly its own entries. Overlapping faults on
 one replica therefore heal independently, in any order. They never touch
 key material — a Byzantine node can lie, stay silent, or garble its own
 traffic, but it cannot forge other nodes' authenticators (that is the
-crypto boundary the backends enforce).
+crypto boundary the key authority enforces).
 
 Two families:
 

@@ -10,8 +10,8 @@ keys could plausibly emit:
   builds a *conflicting* variant for one destination — the equivocating
   primary's per-destination fork. Mutators may use the replica's own key
   material (a Byzantine node signs/MACs whatever it likes with its own
-  keys) but never another node's — the crypto boundary the backends
-  enforce.
+  keys) but never another node's — the crypto boundary the key
+  authority enforces.
 - :data:`VOTE_TYPES` lists the messages whose absence starves a quorum —
   what a vote-withholder suppresses.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.protocols.base import BaseClient, ReplicaGroup
 from repro.protocols.messages import ClientReply, ClientRequest

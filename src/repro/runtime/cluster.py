@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.apps.statemachine import EchoApp, StateMachine
-from repro.crypto.backend import CryptoContext, FastBackend, KeyAuthority
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.net.fabric import Fabric
 from repro.net.profiles import NetworkProfile
@@ -168,7 +168,7 @@ def build_cluster(options: ClusterOptions) -> Cluster:
     client_cls = getattr(module, family.client) if family.client else BaseClient
     sim = Simulator(seed=options.seed)
     fabric = Fabric(sim, options.profile)
-    authority = KeyAuthority(FastBackend(), b"cluster-bootstrap/%d" % options.seed)
+    authority = KeyAuthority(b"cluster-bootstrap/%d" % options.seed)
     n = options.resolved_replicas()
     # An unreplicated server tolerates no fault.
     group = ReplicaGroup(tuple(range(n)), options.f if family.replica_factor else 0)

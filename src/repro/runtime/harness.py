@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
 from repro.runtime.parallel import parallel_map
-from repro.sim.clock import MICROSECOND, ms, secs
+from repro.sim.clock import MICROSECOND, ms
 from repro.sim.monitor import Histogram, MetricsSnapshot, RateMeter
 from repro.telemetry import Telemetry
 

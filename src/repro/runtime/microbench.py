@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.aom.messages import AuthVariant
 from repro.aom.sequencer import AomSequencer
-from repro.crypto.backend import make_authority
+from repro.crypto.backend import KeyAuthority
 from repro.crypto.digests import sha256_digest
 from repro.net.packet import GroupAddress, Packet
 from repro.sim import Histogram, Simulator
@@ -82,7 +82,7 @@ def build_sequencer(
     hmac_kwargs: Optional[dict] = None,
 ) -> AomSequencer:
     """A standalone sequencer switch wired to the egress probe."""
-    authority = make_authority("fast")
+    authority = KeyAuthority(b"repro")
     identity = 1_000_000
     authority.register(identity)
     receivers = list(range(group_size))

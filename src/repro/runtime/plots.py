@@ -2,13 +2,13 @@
 
 The benches print their numbers as tables; these helpers add compact
 ASCII renderings (scatter for latency/throughput curves, bars for
-throughput comparisons, a staircase for CDFs) so a headless benchmark
-run still communicates the *shape* of each figure.
+throughput comparisons) so a headless benchmark run still communicates
+the *shape* of each figure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def bar_chart(items: Sequence[Tuple[str, float]], width: int = 50, unit: str = "") -> List[str]:
@@ -49,36 +49,4 @@ def scatter(
     lines.extend("|" + "".join(row) for row in grid)
     lines.append("+" + "-" * width)
     lines.append(f" {x_label} ({x_min:,.0f} .. {x_max:,.0f})")
-    return lines
-
-
-def cdf_plot(samples_cdf: Sequence[Tuple[int, float]], width: int = 60, height: int = 10) -> List[str]:
-    """Staircase rendering of (value, cumulative_fraction) pairs."""
-    if not samples_cdf:
-        return []
-    values = [v for v, _ in samples_cdf]
-    v_min, v_max = min(values), max(values)
-    span = (v_max - v_min) or 1
-    grid = [[" "] * width for _ in range(height)]
-    for value, fraction in samples_cdf:
-        col = min(width - 1, int((value - v_min) / span * (width - 1)))
-        row = min(height - 1, int(fraction * (height - 1)))
-        grid[height - 1 - row][col] = "."
-    lines = ["1.0 |" + "".join(grid[0])]
-    lines.extend("    |" + "".join(row) for row in grid[1:-1])
-    lines.append("0.0 |" + "".join(grid[-1]))
-    lines.append("     " + "-" * width)
-    lines.append(f"     {v_min} .. {v_max}")
-    return lines
-
-
-def series_table(
-    series: Dict[str, List[Tuple[float, float]]], x_name: str, y_name: str
-) -> List[str]:
-    """Aligned multi-series (x, y) listing, one block per series."""
-    lines = []
-    for name, points in series.items():
-        lines.append(f"{name}:")
-        for x, y in points:
-            lines.append(f"  {x_name}={x:<12,.6g} {y_name}={y:,.6g}")
     return lines

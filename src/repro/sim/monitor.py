@@ -297,7 +297,3 @@ class MetricsSnapshot:
     def names_with_prefix(self, prefix: str) -> List[str]:
         """Metric names under one layer prefix (e.g. ``"net."``)."""
         return [name for name in self.names() if name.startswith(prefix)]
-
-    def sum_counters(self, name: str) -> float:
-        """Sum of one counter across every label combination."""
-        return sum(v for (n, _), v in self.counters.items() if n == name)

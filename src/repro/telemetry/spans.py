@@ -146,13 +146,6 @@ class SpanRecorder:
         lifecycle bugs — the span tests assert on this)."""
         return list(self._open.values())
 
-    def by_trace(self) -> Dict[TraceKey, List[Span]]:
-        """All spans grouped by trace, each group in recording order."""
-        grouped: Dict[TraceKey, List[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace, []).append(span)
-        return grouped
-
     def trace(self, trace: TraceKey) -> List[Span]:
         """All spans of one trace."""
         return [span for span in self.spans if span.trace == trace]

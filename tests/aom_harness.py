@@ -14,7 +14,7 @@ from repro.aom.messages import (
     EpochConfig,
     NetworkFaultModel,
 )
-from repro.crypto.backend import CryptoContext, make_authority
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
 from repro.net import Fabric
 from repro.net.endpoint import Endpoint
@@ -63,7 +63,7 @@ class AomRig:
     ):
         self.sim = Simulator(seed=seed)
         self.fabric = Fabric(self.sim, profile)
-        self.authority = make_authority("fast")
+        self.authority = KeyAuthority(b"repro")
         self.cost = CostModel()
         self.config = AomConfig(
             group_id=GROUP_ID, variant=variant, network_fault_model=fault_model

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.runtime.plots import bar_chart, cdf_plot, scatter, series_table
+from repro.runtime.plots import bar_chart, scatter
 
 
 class TestCli:
@@ -53,13 +53,3 @@ class TestPlots:
     def test_scatter_contains_points(self):
         lines = scatter([(0, 0), (10, 10)], width=20, height=5)
         assert any("*" in line for line in lines)
-
-    def test_cdf_plot_monotone_render(self):
-        lines = cdf_plot([(1, 0.25), (2, 0.5), (3, 1.0)], width=12, height=5)
-        assert lines
-        assert lines[0].startswith("1.0")
-
-    def test_series_table(self):
-        lines = series_table({"s": [(1.0, 2.0)]}, "x", "y")
-        assert "s:" in lines[0]
-        assert "x=1" in lines[1]

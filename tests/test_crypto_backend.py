@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.aom.messages import auth_input
-from repro.crypto.backend import (
-    CryptoContext,
-    FastBackend,
-    KeyAuthority,
-    RealBackend,
-    make_authority,
-)
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import (
     HashChain,
@@ -21,9 +15,9 @@ from repro.crypto.digests import (
 from repro.crypto.hmacvec import HmacVector, sim_mac
 
 
-@pytest.fixture(params=["fast", "real"])
-def authority(request):
-    return make_authority(request.param)
+@pytest.fixture
+def authority():
+    return KeyAuthority(b"repro")
 
 
 class TestBackends:
@@ -40,14 +34,14 @@ class TestBackends:
     def test_unknown_signer_rejected(self, authority):
         authority.register(1)
         sig = authority.sign_as(1, b"hello")
-        forged = type(sig)(signer_id=999, payload=sig.payload, scheme=sig.scheme)
+        forged = type(sig)(signer_id=999, payload=sig.payload)
         assert not authority.verify(forged, b"hello")
 
     def test_cross_identity_signature_rejected(self, authority):
         authority.register(1)
         authority.register(2)
         sig = authority.sign_as(1, b"hello")
-        relabeled = type(sig)(signer_id=2, payload=sig.payload, scheme=sig.scheme)
+        relabeled = type(sig)(signer_id=2, payload=sig.payload)
         assert not authority.verify(relabeled, b"hello")
 
     def test_register_idempotent(self, authority):
@@ -56,33 +50,25 @@ class TestBackends:
         authority.register(5)
         assert authority.verify(sig, b"x")
 
-    def test_wrong_scheme_rejected(self):
-        fast = make_authority("fast")
-        real = make_authority("real")
-        fast.register(1)
-        real.register(1)
-        sig = fast.sign_as(1, b"data")
-        assert not real.verify(sig, b"data")
+    def test_fast_payload_is_16_bytes(self, authority):
+        authority.register(3)
+        assert authority.sign_as(3, b"m").wire_size() == 16
 
-    def test_unknown_backend_name(self):
-        with pytest.raises(ValueError):
-            make_authority("quantum")
-
-    def test_fast_payload_is_16_bytes(self):
-        auth = make_authority("fast")
-        auth.register(3)
-        assert auth.sign_as(3, b"m").wire_size() == 16
-
-    def test_real_payload_is_64_bytes(self):
-        auth = make_authority("real")
-        auth.register(3)
-        assert auth.sign_as(3, b"m").wire_size() == 64
+    def test_identity_signature_is_pinned(self):
+        # Identity 3's secret is SHA-256(b"repro/identity/" || 8-byte id)[:16]
+        # and its tag over b"m" a 16-byte keyed BLAKE2b; the session secret
+        # plays no part.
+        for session_secret in (b"repro", b"cluster-bootstrap/7"):
+            authority = KeyAuthority(session_secret)
+            authority.register(3)
+            tag = authority.sign_as(3, b"m").payload
+            assert tag.hex() == "66aae5b0f123e5a8e3b778ef7e36405e"
 
 
 class TestCostAccounting:
     def make_context(self):
         charges = []
-        authority = make_authority("fast")
+        authority = KeyAuthority(b"repro")
         cost = CostModel()
         ctx = CryptoContext(7, authority, cost, charges.append)
         return ctx, charges, cost
@@ -128,14 +114,9 @@ class TestCostAccounting:
         assert not ctx.verify_threshold_combined(share, b"qc")
 
     def test_unbound_context_charges_nothing(self):
-        authority = make_authority("fast")
+        authority = KeyAuthority(b"repro")
         ctx = CryptoContext(7, authority, CostModel())
         ctx.sign(b"data")  # must not raise
-
-    def test_scaled_cost_model(self):
-        cost = CostModel().scaled(2.0)
-        assert cost.ecdsa_sign_ns == CostModel().ecdsa_sign_ns * 2
-        assert cost.hmac_ns == CostModel().hmac_ns * 2
 
 
 class TestHashChain:
@@ -230,7 +211,7 @@ class TestDigestHelpers:
         assert combined != auth_input(digest, 7, 2)
 
 
-SESSION_AUTHORITY = KeyAuthority(FastBackend(), b"boot")
+SESSION_AUTHORITY = KeyAuthority(b"boot")
 
 
 def session_context(node_id: int, charge=None) -> CryptoContext:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.aom import messages as aom_messages
-from repro.crypto.backend import CryptoContext, FastBackend, KeyAuthority
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
 from repro.crypto.hmacvec import HMAC_TAG_SIZE, mac_state, mac_with, sim_mac
 from repro.faults.behaviors import corrupt_replies
@@ -154,7 +154,7 @@ def test_corrupted_reply_copy_fails_verification():
     assert not client.verify_reply(replica.address, corrupted)
 
 
-AUTHORITY = KeyAuthority(FastBackend(), b"memo")
+AUTHORITY = KeyAuthority(b"memo")
 
 
 @given(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.backend import CryptoContext, make_authority
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.protocols.minbft.usig import Usig, UsigCertificate
@@ -10,7 +10,7 @@ from repro.protocols.minbft.usig import Usig, UsigCertificate
 
 @pytest.fixture
 def rig():
-    authority = make_authority("fast")
+    authority = KeyAuthority(b"repro")
     charges = []
     crypto = CryptoContext(0, authority, CostModel(), charges.append)
     usig = Usig(0, authority, crypto)
@@ -35,7 +35,7 @@ class TestUsig:
         assert usig.verify_ui(ui, digest)
 
     def test_cross_replica_verification(self):
-        authority = make_authority("fast")
+        authority = KeyAuthority(b"repro")
         crypto_a = CryptoContext(0, authority, CostModel())
         crypto_b = CryptoContext(1, authority, CostModel())
         usig_a = Usig(0, authority, crypto_a)

@@ -3,7 +3,7 @@ client message authentication."""
 
 import pytest
 
-from repro.crypto.backend import CryptoContext, make_authority
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.protocols.batching import Batcher, TimedBatcher
@@ -261,7 +261,7 @@ class TestClientMessageAuth:
     """Clients MAC a request for every replica; each replica checks its entry."""
 
     def setup_method(self):
-        self.authority = make_authority("fast", b"test")
+        self.authority = KeyAuthority(b"test")
 
     def context(self, node_id):
         return CryptoContext(node_id, self.authority, CostModel())

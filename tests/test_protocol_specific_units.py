@@ -76,11 +76,11 @@ class TestHotStuff:
         assert len(counts) == 1
 
     def test_decide_carries_commit_qc_only(self):
-        from repro.crypto.backend import CryptoContext, make_authority
+        from repro.crypto.backend import CryptoContext, KeyAuthority
         from repro.crypto.costmodel import CostModel
         from repro.protocols.hotstuff.messages import Phase, QuorumCert, qc_body
 
-        authority = make_authority("fast")
+        authority = KeyAuthority(b"repro")
         ctx = CryptoContext(0, authority, CostModel())
         body = qc_body(0, 1, Phase.PREPARE, b"d")
         prepare_qc = QuorumCert(0, 1, Phase.PREPARE, b"d", ctx.combine_threshold(body))

@@ -3,7 +3,7 @@ pipeline, FPGA coprocessor."""
 
 import pytest
 
-from repro.crypto.backend import make_authority
+from repro.crypto.backend import KeyAuthority
 from repro.sim.clock import us
 from repro.switchfab.fpga import FPGA_BUDGET, FpgaCoprocessor
 from repro.switchfab.hmac_pipeline import (
@@ -136,7 +136,7 @@ class TestFoldedHmacPipeline:
 
 class TestFpgaCoprocessor:
     def make(self, **kwargs):
-        authority = make_authority("fast")
+        authority = KeyAuthority(b"repro")
         authority.register(1)
         return FpgaCoprocessor(sign=lambda d: authority.sign_as(1, d), **kwargs), authority
 

@@ -59,15 +59,6 @@ class TestSpanLifecycle:
         with pytest.raises(ValueError):
             SpanRecorder(capacity=0)
 
-    def test_by_trace_groups(self):
-        rec = SpanRecorder()
-        rec.record((1, 1), "a", "net", "n", 0, 1)
-        rec.record((2, 1), "b", "net", "n", 0, 1)
-        rec.record((1, 1), "c", "net", "n", 1, 2)
-        grouped = rec.by_trace()
-        assert len(grouped[(1, 1)]) == 2
-        assert len(grouped[(2, 1)]) == 1
-
 
 class TestTraceKeyExtraction:
     def test_client_request_like(self):
