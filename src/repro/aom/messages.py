@@ -14,7 +14,7 @@ authentication property NeoBFT's gap and view-change protocols rely on.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
 
@@ -22,7 +22,6 @@ from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 from repro.switchfab.fpga import ChainedToken
-from repro.switchfab.hmac_pipeline import PartialVector
 
 
 class AuthVariant(str, Enum):

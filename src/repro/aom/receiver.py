@@ -514,13 +514,13 @@ class AomReceiverLib:
 
     def _has_pending_beyond_head(self) -> bool:
         # Anything buffered past the head, or the head itself waiting (for
-        # confirms, say) as a certificate or a pk packet. Sequences start
-        # at 1, so an empty table's default of 0 never counts.
+        # confirms, say) as a certificate or a pk packet. The tables are
+        # empty on almost every flush, so test that before taking a max.
         head = self.next_seq
-        return (
-            max(self._authentic, default=0) >= head
-            or max(self._pk_buffer, default=0) >= head
-            or max(self._hm_partials, default=0) > head
+        return bool(
+            (self._authentic and max(self._authentic) >= head)
+            or (self._pk_buffer and max(self._pk_buffer) >= head)
+            or (self._hm_partials and max(self._hm_partials) > head)
         )
 
     def _manage_stuck_timer(self, progressed: bool) -> None:

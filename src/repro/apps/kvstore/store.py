@@ -14,7 +14,7 @@ back precisely.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.apps.kvstore.btree import BTree
 from repro.apps.statemachine import StateMachine, UndoFn

@@ -9,7 +9,6 @@ record population, the standard workload mixes, and the record loader
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List

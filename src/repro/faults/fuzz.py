@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.campaign import CompletionTimeline, FaultCampaign, FaultEvent, FaultSpec
+from repro.faults.campaign import FaultCampaign, FaultEvent, FaultSpec
 from repro.faults.invariants import InvariantMonitor, InvariantViolation
 from repro.faults.linearizability import (
     CounterOp,

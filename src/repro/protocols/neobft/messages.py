@@ -11,7 +11,7 @@ certificates, view-change bundles).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.aom.messages import OrderingCertificate

@@ -20,7 +20,7 @@ from repro.crypto.backend import KeyAuthority
 from repro.crypto.digests import sha256_digest
 from repro.net.packet import GroupAddress, Packet
 from repro.sim import Histogram, Simulator
-from repro.sim.clock import MICROSECOND, us
+from repro.sim.clock import MICROSECOND
 from repro.switchfab.fpga import FpgaCoprocessor
 from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
 

@@ -1,25 +1,33 @@
 """The discrete-event engine.
 
-A :class:`Simulator` owns a virtual clock and a binary heap of pending
+A :class:`Simulator` owns a virtual clock and two binary heaps of pending
 events. Events scheduled for the same instant fire in the order they were
 scheduled (a monotonically increasing sequence number breaks ties), which
 makes whole-system runs bit-for-bit reproducible for a given seed.
 
-The heap holds two kinds of entry, both ordered by ``(time, seq)``:
+The two heaps hold one kind of entry each, both ordered by ``(time, seq)``:
 
-- ``(time, seq, None, handle)`` for :meth:`Simulator.schedule` and
-  :meth:`Simulator.schedule_at`, which return an :class:`EventHandle`
+- the timer heap holds ``(time, seq, handle)`` for :meth:`Simulator.schedule`
+  and :meth:`Simulator.schedule_at`, which return an :class:`EventHandle`
   (timers, fault schedules: anything that may be cancelled);
-- ``(time, seq, callback, args)`` for :meth:`Simulator.post_at`, for
-  events nothing cancels (fabric deliveries, CPU completions, deferred
-  handler effects, the sequencer's multicast). No handle is built.
+- the post heap holds ``(time, seq, callback, args)`` for
+  :meth:`Simulator.post_at`, for events nothing cancels (fabric
+  deliveries, CPU completions, deferred handler effects, the sequencer's
+  multicast). No handle is built.
 
-Both kinds draw ``seq`` from one counter, so ties fire in scheduling order
-whichever kind they are. ``seq`` is unique, so the heap orders entries by
-comparing two ints in C and never compares what follows. Cancellation is
-lazy: a cancelled handle stays in the heap and is skipped when it reaches
-the top, but it drops its callback and arguments at cancel, so a dead
-entry holds nothing else alive.
+Both heaps draw ``seq`` from one counter, and the run loop fires whichever
+head is lower by ``(time, seq)``, so the total order is the one a single
+heap would give: ties fire in scheduling order whichever kind they are.
+``seq`` is unique, so entries are ordered by comparing two ints in C and
+what follows is never compared.
+
+Cancellation is lazy but short-lived: a cancelled handle drops its
+callback and arguments at once, and its entry leaves the timer heap as
+soon as it reaches the top, not when its deadline arrives. Clients cancel
+almost every retry timer they arm, and all of a client's timers share one
+timeout, so a dead timer is gone once every timer armed before it is. The
+post heap, which every delivery pushes onto and pops from, never holds a
+dead entry, and the timer heap holds few.
 """
 
 from __future__ import annotations
@@ -34,12 +42,12 @@ from repro.sim.randomness import RandomStreams
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
-    Cancellation is lazy: the heap entry stays in place but is skipped
-    when popped. This keeps ``cancel`` O(1), which matters because
-    protocols cancel far more timers (retransmit timers that never fire)
-    than they let expire. ``cancel`` releases the callback and arguments,
-    so what they reference (a client's retry timer, say) is freed at once
-    rather than when the entry finally reaches the top of the heap.
+    ``cancel`` is O(1): it marks the handle, and the run loop drops the
+    timer-heap entry once it reaches the top of that heap. This matters
+    because protocols cancel far more timers (retransmit timers that never
+    fire) than they let expire. ``cancel`` releases the callback and
+    arguments, so what they reference (a client's retry timer, say) is
+    freed at once.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -74,7 +82,7 @@ class EventHandle:
         self.cancelled = True
         self.callback = None
         self.args = ()
-        sim._live -= 1
+        sim._cancels += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -99,12 +107,11 @@ class Simulator:
         # Optional repro.telemetry.Telemetry: spans, gauges and histograms
         # are recorded only while it is set.
         self.telemetry = None
-        self._heap: List[Tuple[int, int, Any, Any]] = []
+        self._posts: List[Tuple[int, int, Callable[..., None], tuple]] = []
+        self._timers: List[Tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._events_processed = 0
-        # Live = scheduled and neither fired nor cancelled. Maintained
-        # incrementally so telemetry never scans the heap.
-        self._live = 0
+        self._cancels = 0
 
     @property
     def events_processed(self) -> int:
@@ -114,7 +121,7 @@ class Simulator:
     @property
     def live_events(self) -> int:
         """Pending (scheduled, not fired, not cancelled) events right now."""
-        return self._live
+        return self._seq - self._events_processed - self._cancels
 
     # ---------------------------------------------------------- scheduling
 
@@ -140,30 +147,33 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        heappush(self._heap, (time, seq, callback, args))
+        heappush(self._posts, (time, seq, callback, args))
 
     def _push(self, time: int, callback: Callable[..., None], args: tuple) -> EventHandle:
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._heap, (time, seq, None, handle))
+        heappush(self._timers, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------- queries
 
     def peek_time(self) -> Optional[int]:
         """Virtual time of the next pending event, or None when idle."""
-        heap = self._heap
-        while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
+        timers = self._timers
+        while timers and timers[0][2].cancelled:
+            heappop(timers)
+        posts = self._posts
+        if not timers:
+            return posts[0][0] if posts else None
+        if not posts:
+            return timers[0][0]
+        return min(timers[0][0], posts[0][0])
 
     # ------------------------------------------------------------ run loop
 
     def run(self, until: Optional[int] = None) -> int:
-        """Process events until the heap drains or the time bound is hit.
+        """Process events until both heaps drain or the time bound is hit.
 
         Parameters
         ----------
@@ -176,23 +186,31 @@ class Simulator:
         Returns the number of events processed by this call.
         """
         start = self._events_processed
-        heap = self._heap
+        posts = self._posts
+        timers = self._timers
         limit = float("inf") if until is None else until
-        while heap:
-            entry = heappop(heap)
-            time, _, callback, args = entry
-            if callback is None and args.cancelled:
-                continue
+        while posts or timers:
+            if timers:
+                entry = timers[0]
+                handle = entry[2]
+                if handle.cancelled:
+                    heappop(timers)
+                    continue
+                if not posts or entry < posts[0]:
+                    time = entry[0]
+                    if time > limit:
+                        break
+                    heappop(timers)
+                    handle._sim = None  # fired: a later cancel() is a no-op
+                    self.now = time
+                    handle.callback(*handle.args)
+                    self._events_processed += 1
+                    continue
+            time, _, callback, args = posts[0]
             if time > limit:
-                heappush(heap, entry)
                 break
-            if callback is None:  # a handle entry: args is the EventHandle
-                handle = args
-                handle._sim = None  # fired: a later cancel() is a no-op
-                callback = handle.callback
-                args = handle.args
+            heappop(posts)
             self.now = time
-            self._live -= 1
             callback(*args)
             self._events_processed += 1
         if until is not None and self.now < until:
@@ -200,7 +218,7 @@ class Simulator:
         if self.telemetry is not None:
             self.metrics.set_gauge("sim.virtual_time_ns", self.now)
             self.metrics.set_gauge("sim.events_processed", self._events_processed)
-            self.metrics.set_gauge("sim.pending_events", self._live)
+            self.metrics.set_gauge("sim.pending_events", self.live_events)
         return self._events_processed - start
 
     def run_for(self, duration: int) -> int:

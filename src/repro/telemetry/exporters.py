@@ -11,7 +11,7 @@ in Perfetto or ``chrome://tracing``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, TextIO, Tuple
 
 from repro.sim.monitor import MetricKey, MetricsSnapshot
 from repro.telemetry.spans import Span, TraceKey

@@ -307,6 +307,77 @@ class TestPostAt:
         assert sim.run() == 1
 
 
+class TestTimerHeap:
+    """Timers sit in their own heap; posts and timers share one order."""
+
+    @pytest.mark.parametrize("timer_first", [True, False])
+    def test_same_instant_timer_and_post_fire_in_scheduling_order(self, timer_first):
+        sim = Simulator()
+        fired = []
+        if timer_first:
+            sim.schedule_at(10, fired.append, "timer")
+            sim.post_at(10, fired.append, "post")
+        else:
+            sim.post_at(10, fired.append, "post")
+            sim.schedule_at(10, fired.append, "timer")
+        sim.run()
+        assert fired == (["timer", "post"] if timer_first else ["post", "timer"])
+
+    def test_dead_timers_leave_before_their_deadline(self):
+        sim = Simulator()
+        for handle in [sim.schedule(ms(1), lambda: None) for _ in range(10_000)]:
+            handle.cancel()
+        live = sim.schedule(ms(2), lambda: None)
+        fired = []
+        sim.post_at(us(10), fired.append, "next")
+        sim.run(until=us(20))
+        assert fired == ["next"] and sim.now < ms(1)
+        # Only the live timer is left: the engine's heaps hold no dead entry.
+        assert sim._timers == [(live.time, live.seq, live)]
+        assert sim._posts == []
+        assert sim.live_events == 1
+
+    def test_peek_time_prefers_an_earlier_post_and_skips_dead_timer_heads(self):
+        sim = Simulator()
+        dead = [sim.schedule(5, lambda: None) for _ in range(3)]
+        sim.schedule(30, lambda: None)
+        sim.post_at(20, lambda: None)
+        assert sim.peek_time() == 5
+        for handle in dead:
+            handle.cancel()
+        assert sim.peek_time() == 20
+        assert len(sim._timers) == 1
+        sim.run(until=25)
+        assert sim.peek_time() == 30
+
+    def test_live_events_exact_through_cancels_and_bounds(self):
+        sim = Simulator()
+        early = sim.schedule(10, lambda: None)
+        doomed = sim.schedule(20, lambda: None)
+        sim.post_at(15, lambda: None)
+        late = sim.schedule(40, lambda: None)
+        sim.post_at(50, lambda: None)
+        assert sim.live_events == 5
+        doomed.cancel()  # before it fires
+        assert sim.live_events == 4
+        doomed.cancel()  # twice
+        assert sim.live_events == 4
+        sim.run(until=12)
+        assert sim.live_events == 3
+        early.cancel()  # after it fired
+        assert sim.live_events == 3
+        sim.run(until=20)  # a bound on the dead timer's deadline
+        assert sim.live_events == 2
+        late.cancel()
+        late.cancel()
+        assert sim.live_events == 1
+        sim.run(until=45)
+        assert sim.live_events == 1 and sim.now == 45
+        sim.run()
+        assert sim.live_events == 0 and sim.events_processed == 3
+        assert sim.peek_time() is None
+
+
 class TestDeterminism:
     def test_same_seed_same_random_streams(self):
         a = Simulator(seed=42).streams.get("x")
