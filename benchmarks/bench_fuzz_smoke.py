@@ -11,6 +11,11 @@ Scale: SEEDS_PER_PROTOCOL seeds x all protocols at laptop scale; the
 full 200-seed acceptance sweep is a manual ``python -m repro fuzz
 --seeds 200`` run.
 
+The summary goes to ``benchmarks/results/fuzz_smoke.txt`` only at the
+default 4 seeds, the committed run; any other ``REPRO_FUZZ_SEEDS=N``
+writes ``fuzz_smoke_<N>seeds.txt`` (git-ignored), so a smoke at another
+scale leaves the committed summary as it is.
+
 Exit status: non-zero iff a violation was found (artifacts on disk).
 """
 
@@ -23,7 +28,13 @@ from benchmarks.bench_common import RESULTS_DIR, report, sweep_workers
 from repro.faults.fuzz import FuzzBudget, fuzz_sweep
 from repro.runtime.cluster import ALL_PROTOCOLS
 
-SEEDS_PER_PROTOCOL = int(os.environ.get("REPRO_FUZZ_SEEDS", "4"))
+DEFAULT_SEEDS = 4
+SEEDS_PER_PROTOCOL = int(os.environ.get("REPRO_FUZZ_SEEDS", str(DEFAULT_SEEDS)))
+REPORT_NAME = (
+    "fuzz_smoke"
+    if SEEDS_PER_PROTOCOL == DEFAULT_SEEDS
+    else f"fuzz_smoke_{SEEDS_PER_PROTOCOL}seeds"
+)
 ARTIFACTS_DIR = os.path.join(RESULTS_DIR, "fuzz_artifacts")
 
 
@@ -54,7 +65,7 @@ def main() -> int:
             f"{finding.shrink_stats.shrunk_events} events, "
             f"artifact {finding.artifact_path})"
         )
-    report("fuzz_smoke", lines)
+    report(REPORT_NAME, lines)
     return 0 if fuzz_report.ok else 1
 
 

@@ -5,8 +5,9 @@ All NeoBFT-family protocols replicate deterministic state machines
 
 - **undo support**: speculative protocols (NeoBFT, Zyzzyva, Speculative
   Paxos) may execute an operation and later learn the slot committed as a
-  no-op; ``execute_with_undo`` returns an inverse closure so the replica
-  can roll back without snapshotting whole state;
+  no-op; ``execute_with_undo`` returns the operation's inverse, a
+  zero-argument callable, so the replica can roll back without
+  snapshotting whole state;
 - **cost accounting**: ``exec_cost_ns`` tells the replica how much
   simulated CPU an operation charges, so application weight shows up in
   protocol throughput (the effect §6.5 measures).
@@ -31,7 +32,7 @@ class StateMachine:
         return result
 
     def execute_with_undo(self, op: bytes) -> Tuple[bytes, UndoFn]:
-        """Apply ``op``; returns (result, inverse-closure-or-None)."""
+        """Apply ``op``; returns (result, inverse or None)."""
         raise NotImplementedError
 
     def digest(self) -> bytes:
@@ -53,14 +54,15 @@ class EchoApp(StateMachine):
 
     def __init__(self):
         self.executed = 0
+        # Every execution has the same inverse, so all share one.
+        self._undo = self._unexecute
 
     def execute_with_undo(self, op: bytes) -> Tuple[bytes, UndoFn]:
         self.executed += 1
+        return op, self._undo
 
-        def undo() -> None:
-            self.executed -= 1
-
-        return op, undo
+    def _unexecute(self) -> None:
+        self.executed -= 1
 
     def digest(self) -> bytes:
         return sha256_digest(b"echo:%d" % self.executed)

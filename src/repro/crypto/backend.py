@@ -218,8 +218,13 @@ class CryptoContext:
         return mac_with(state, data)
 
     def mac_vector(self, peers: Iterable[int], data: bytes) -> HmacVector:
-        """One tag per peer over ``data``, made in ``peers`` order."""
-        return HmacVector(tuple([(peer, self.mac_to(peer, data)) for peer in peers]))
+        """One tag per peer over ``data``, made in ``peers`` order.
+
+        A tuple ``peers`` becomes the vector's ``ids`` as it is, so every
+        vector made over one peer tuple shares it.
+        """
+        ids = tuple(peers)
+        return HmacVector(ids, b"".join([self.mac_to(peer, data) for peer in ids]))
 
     def verify_mac_from(self, peer: int, data: bytes, tag: bytes) -> bool:
         """Check ``peer``'s tag on ``data``."""
@@ -235,8 +240,9 @@ class CryptoContext:
         """
         if vector is None:
             return False
-        for receiver, tag in vector.tags:
-            if receiver == self.node_id:
-                return self.mac_to(peer, data) == tag
-        return False
+        try:
+            tag = vector.tag_for(self.node_id)
+        except KeyError:
+            return False
+        return self.mac_to(peer, data) == tag
 

@@ -10,6 +10,13 @@ Two consumers:
   vectors over pairwise session keys (the classic O(N^2) authenticator
   pattern Table 1 charges them for), made and checked by
   :class:`~repro.crypto.backend.CryptoContext`.
+
+An :class:`HmacVector` mirrors the aom-hm header, which carries one
+``HMAC_TAG_SIZE``-byte tag per receiver in receiver order: ``ids`` names
+the receivers and ``packed`` holds their tags back to back, so a
+receiver's tag is the slice at its position in ``ids``. Every vector
+made over one peer tuple shares that tuple, so a retained vector costs
+one bytes object beyond the vector itself.
 """
 
 from __future__ import annotations
@@ -51,37 +58,38 @@ def mac_with(state, data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class HmacVector:
-    """An ordered vector of (receiver_id, tag) pairs over one input."""
+    """Per-receiver tags over one input: ``HMAC_TAG_SIZE`` bytes of
+    ``packed`` per id in ``ids``, in ``ids`` order."""
 
-    tags: Tuple[Tuple[int, bytes], ...]
+    ids: Tuple[int, ...]
+    packed: bytes
 
     def tag_for(self, receiver_id: int) -> bytes:
         """The tag computed under ``receiver_id``'s key."""
-        for rid, tag in self.tags:
-            if rid == receiver_id:
-                return tag
-        raise KeyError(f"no HMAC entry for receiver {receiver_id}")
+        try:
+            start = self.ids.index(receiver_id) * HMAC_TAG_SIZE
+        except ValueError:
+            raise KeyError(f"no HMAC entry for receiver {receiver_id}") from None
+        return self.packed[start : start + HMAC_TAG_SIZE]
 
     def has_entry(self, receiver_id: int) -> bool:
         """Whether the vector covers ``receiver_id``."""
-        for rid, _ in self.tags:
-            if rid == receiver_id:
-                return True
-        return False
+        return receiver_id in self.ids
 
     def receivers(self) -> List[int]:
         """Receiver ids covered, in vector order."""
-        return [rid for rid, _ in self.tags]
+        return list(self.ids)
 
     def wire_size(self) -> int:
         """Bytes this vector occupies in a packet header."""
-        return len(self.tags) * (2 + HMAC_TAG_SIZE)
+        return len(self.ids) * (2 + HMAC_TAG_SIZE)
 
     def merge(self, other: "HmacVector") -> "HmacVector":
         """Combine two partial vectors (subgroup packets reassembling §4.3)."""
-        seen = dict(self.tags)
-        merged = list(self.tags)
-        for rid, tag in other.tags:
-            if rid not in seen:
-                merged.append((rid, tag))
-        return HmacVector(tuple(merged))
+        ids = list(self.ids)
+        packed = [self.packed]
+        for rid in other.ids:
+            if rid not in self.ids:
+                ids.append(rid)
+                packed.append(other.tag_for(rid))
+        return HmacVector(tuple(ids), b"".join(packed))

@@ -194,9 +194,7 @@ def corrupt_macs(
             return message
         if fraction < 1.0 and rng.random() >= fraction:
             return message
-        garbled = HmacVector(
-            tuple((rid, bytes(b ^ 0xFF for b in tag)) for rid, tag in auth.tags)
-        )
+        garbled = HmacVector(auth.ids, bytes([b ^ 0xFF for b in auth.packed]))
         replica.metrics.add("byzantine_bad_macs")
         return dataclass_replace(message, auth=garbled)
 

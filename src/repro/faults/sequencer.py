@@ -89,8 +89,10 @@ def equivocate_sequencer(
             from repro.crypto.hmacvec import HmacVector, mac_with
             from repro.switchfab.hmac_pipeline import PartialVector
 
+            forged_input = forged.auth_input()
             forged_vector = HmacVector(
-                tuple((rid, mac_with(state, forged.auth_input())) for rid, state in subgroup)
+                partial.vector.ids,
+                b"".join([mac_with(state, forged_input) for _, state in subgroup]),
             )
             forged = replace(
                 forged,

@@ -10,7 +10,7 @@ reply MACs, at-most-once caching, reply quorum collection, retransmission
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
 from repro.crypto.costmodel import CostModel
@@ -79,6 +79,10 @@ class BaseReplica(Endpoint):
         self.replica_id = replica_id
         self.group = group
         self.app = app
+        # Membership is static, so every MAC vector this replica makes
+        # shares this one tuple as its ids.
+        me = group.replica_addrs[replica_id]
+        self._peers = tuple([addr for addr in group.replica_addrs if addr != me])
         self.crypto: Optional[CryptoContext] = None  # bound by the cluster builder
         self.view = 0
         self.log = ReplicaLog()
@@ -106,10 +110,9 @@ class BaseReplica(Endpoint):
         """Current view's leader address."""
         return self.group.leader_addr(self.view)
 
-    def peers(self) -> List[int]:
+    def peers(self) -> Tuple[int, ...]:
         """Addresses of the other replicas."""
-        me = self.group.replica_addrs[self.replica_id]
-        return [addr for addr in self.group.replica_addrs if addr != me]
+        return self._peers
 
     def broadcast(self, message: object) -> None:
         """Send to all other replicas."""

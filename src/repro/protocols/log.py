@@ -36,8 +36,9 @@ class LogEntry:
     epoch: int = 0
     result: bytes = b""
     executed: bool = False
-    # Reverts this slot's execution: the app's inverse plus the replica's
-    # client-table entry, which in turn holds the previous reply. Only
+    # The slot's undo record: a zero-argument callable that reverts its
+    # execution, the app's inverse plus the replica's client-table entry
+    # (which in turn holds the previous reply). Only
     # speculative rollback (``rollback_to``) runs it, and rollback never
     # reaches below a committed sync point, so it is set by
     # ``mark_executed`` only above ``commit_cursor`` and dropped when
@@ -141,8 +142,8 @@ class ReplicaLog:
     def rollback_to(self, slot: int) -> List[LogEntry]:
         """Undo execution of slots >= ``slot``; returns those entries.
 
-        Undo closures run in reverse order, restoring application state to
-        just before ``slot`` executed.
+        Undo records run in reverse slot order, restoring application
+        state to just before ``slot`` executed.
         """
         self._check_retained(slot)
         start = slot - self.low_water
@@ -186,7 +187,7 @@ class ReplicaLog:
         """Advance the durable prefix (state sync / commit decisions).
 
         Marks only the newly covered slots and releases their undo
-        closures, which nothing can run once the slot is durable, then
+        records, which nothing can run once the slot is durable, then
         runs the ``on_commit`` hooks if the cursor moved.
         """
         before = self.commit_cursor

@@ -24,6 +24,7 @@ evidence that must transfer, i.e. gap certificates, is already signed).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.aom.messages import (
@@ -304,16 +305,9 @@ class NeoBftReplica(BaseReplica):
                 return
             result, app_undo = self.execute_op(request.op, request=request)
             self.client_table[request.client_id] = (request.request_id, None)
-
-            def undo(app_undo=app_undo, client_id=request.client_id, prev=prev_table):
-                if app_undo is not None:
-                    app_undo()
-                if prev is None:
-                    self.client_table.pop(client_id, None)
-                else:
-                    self.client_table[client_id] = prev
-
-            self.log.mark_executed(slot, result, undo)
+            self.log.mark_executed(
+                slot, result, partial(self._unexecute, app_undo, request.client_id, prev_table)
+            )
             self._cancel_direct_timer(request)
             self.reply_to_client(
                 request.client_id,
@@ -330,6 +324,17 @@ class NeoBftReplica(BaseReplica):
             self._cancel_direct_timer(request)
             if cached is not None:
                 self.send(request.client_id, cached)
+
+    def _unexecute(self, app_undo, client_id: int, prev) -> None:
+        """One executed slot's undo record: the app's inverse, then the
+        client-table entry the execution replaced (``None``: there was
+        none)."""
+        if app_undo is not None:
+            app_undo()
+        if prev is None:
+            self.client_table.pop(client_id, None)
+        else:
+            self.client_table[client_id] = prev
 
     # ------------------------------------------------------------------
     # client unicast retry path (§5.3)

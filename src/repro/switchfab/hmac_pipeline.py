@@ -76,6 +76,10 @@ class FoldedHmacPipeline:
             [(rid, mac_state(key)) for rid, key in receiver_keys[i : i + SUBGROUP_SIZE]]
             for i in range(0, len(receiver_keys), SUBGROUP_SIZE)
         ]
+        # Each subgroup's receiver ids, shared by every vector it makes.
+        self.subgroup_ids: List[Tuple[int, ...]] = [
+            tuple([rid for rid, _ in subgroup]) for subgroup in self.subgroups
+        ]
         # One subgroup's 4-vector is the unit of work; n subgroups consume n
         # units of the shared loopback/pipe capacity.
         self.engine = PacketEngine(
@@ -101,7 +105,8 @@ class FoldedHmacPipeline:
         partials = []
         for index, subgroup in enumerate(self.subgroups):
             vector = HmacVector(
-                tuple([(rid, mac_with(state, auth_input)) for rid, state in subgroup])
+                self.subgroup_ids[index],
+                b"".join([mac_with(state, auth_input) for _, state in subgroup]),
             )
             partials.append(
                 PartialVector(

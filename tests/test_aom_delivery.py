@@ -56,7 +56,7 @@ class TestHmVectorReassembly:
         for host in rig.receivers:
             cert = host.certs[0]
             assert cert.hm_vector is not None
-            assert len(cert.hm_vector.tags) == 6  # the *full* vector
+            assert len(cert.hm_vector.ids) == 6  # the *full* vector
 
     def test_partial_vectors_count_as_messages(self):
         rig = AomRig(receivers=6)

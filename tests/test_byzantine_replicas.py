@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.apps.statemachine import CounterApp
-from repro.crypto.hmacvec import HmacVector
+from repro.crypto.hmacvec import HMAC_TAG_SIZE, HmacVector
 from repro.faults import (
     CompletionTimeline,
     CounterOp,
@@ -131,8 +131,8 @@ class TestCorruptMacs:
     def test_garbles_every_tag(self):
         replica = StubReplica()
         corrupt_macs(replica)
-        tag = bytes(range(16))
-        message = Prepare(0, 1, b"d" * 32, 2, auth=HmacVector(((3, tag),)))
+        tag = bytes(range(HMAC_TAG_SIZE))
+        message = Prepare(0, 1, b"d" * 32, 2, auth=HmacVector((3,), tag))
         replica.send(3, message)
         (_, sent), = replica.sent
         assert sent.auth.tag_for(3) == bytes(b ^ 0xFF for b in tag)
@@ -156,7 +156,7 @@ class TestCorruptMacs:
         corrupt_macs(replica, fraction=0.5, rng=random.Random(1))
         for _ in range(50):
             replica.send(
-                3, Prepare(0, 1, b"d" * 32, 2, auth=HmacVector(((3, b"t" * 16),)))
+                3, Prepare(0, 1, b"d" * 32, 2, auth=HmacVector((3,), b"t" * HMAC_TAG_SIZE))
             )
         garbled = replica.metrics.get("byzantine_bad_macs")
         assert 0 < garbled < 50

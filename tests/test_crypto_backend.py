@@ -1,7 +1,7 @@
 """Backend, cost-accounting, digests/hash-chain, and HMAC-vector tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.aom.messages import auth_input
 from repro.crypto.backend import CryptoContext, KeyAuthority
@@ -12,7 +12,7 @@ from repro.crypto.digests import (
     fields_digest,
     sha256_digest,
 )
-from repro.crypto.hmacvec import HmacVector, sim_mac
+from repro.crypto.hmacvec import HMAC_TAG_SIZE, HmacVector, sim_mac
 
 
 @pytest.fixture
@@ -224,7 +224,9 @@ class TestHmacVectors:
 
     @staticmethod
     def make_vector(keys, data):
-        return HmacVector(tuple((rid, sim_mac(key, data)) for rid, key in keys))
+        return HmacVector(
+            tuple([rid for rid, _ in keys]), b"".join([sim_mac(key, data) for _, key in keys])
+        )
 
     def test_vector_verifies_per_receiver(self):
         vector = self.make_vector(self.KEYS, b"msg")
@@ -251,12 +253,53 @@ class TestHmacVectors:
 
     def test_merge_dedupes(self):
         vector = self.make_vector(self.KEYS, b"msg")
-        assert len(vector.merge(vector).tags) == len(vector.tags)
+        assert len(vector.merge(vector).ids) == len(vector.ids)
 
     def test_wire_size_scales_with_entries(self):
         small = self.make_vector(self.KEYS[:1], b"m")
         large = self.make_vector(self.KEYS, b"m")
         assert large.wire_size() == 4 * small.wire_size()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8, unique=True),
+    st.binary(max_size=64),
+    st.data(),
+)
+def test_vector_layout_matches_a_pairs_reference(peers, data, draw):
+    """``mac_vector``'s packed tags agree with a (receiver, tag) pairs
+    reference, and a flipped tag byte fails only its own receiver."""
+    sender = session_context(0)
+    vector = sender.mac_vector(tuple(peers), data)
+    pairs = [(peer, sim_mac(SESSION_AUTHORITY.session_key(0, peer), data)) for peer in peers]
+    assert vector.packed == b"".join(tag for _, tag in pairs)
+    for peer, tag in pairs:
+        assert vector.has_entry(peer) and vector.tag_for(peer) == tag
+    assert not vector.has_entry(0)
+    assert vector.wire_size() == len(pairs) * 6
+
+    split = draw.draw(st.integers(min_value=0, max_value=len(peers)))
+    first = sender.mac_vector(peers[:split], data)
+    overlap = max(split - 1, 0)  # the second part repeats one entry of the first
+    second = sender.mac_vector(peers[overlap:], data)
+    merged = first.merge(second)
+    reference = dict(pairs[:split])
+    for peer, tag in pairs[overlap:]:
+        reference.setdefault(peer, tag)
+    assert merged.receivers() == list(reference)
+    assert all(merged.tag_for(peer) == tag for peer, tag in reference.items())
+
+    victim = draw.draw(st.sampled_from(peers))
+    offset = peers.index(victim) * HMAC_TAG_SIZE + draw.draw(
+        st.integers(min_value=0, max_value=HMAC_TAG_SIZE - 1)
+    )
+    flipped = bytearray(vector.packed)
+    flipped[offset] ^= 0x01
+    tampered = HmacVector(vector.ids, bytes(flipped))
+    for peer in peers:
+        verdict = session_context(peer).verify_vector_from(0, data, tampered)
+        assert verdict == (peer != victim)
 
 
 class TestPairwiseKeys:

@@ -177,5 +177,7 @@ def test_switch_vectors_from_prepared_states_match_sim_mac(data):
     keys = [(rid, bytes([rid + 1]) * 8) for rid in range(6)]
     pipeline = FoldedHmacPipeline(keys)
     _, partials = pipeline.authenticate(0, data)
-    tags = dict(tag for partial in partials for tag in partial.vector.tags)
+    tags = {
+        rid: partial.vector.tag_for(rid) for partial in partials for rid in partial.vector.ids
+    }
     assert tags == {rid: sim_mac(key, data) for rid, key in keys}

@@ -98,7 +98,7 @@ class TestFoldedHmacPipeline:
         pipeline = FoldedHmacPipeline(self.keys(10))
         assert pipeline.subgroup_count == 3  # 4+4+2
         _, partials = pipeline.authenticate(0, b"input")
-        assert [len(p.vector.tags) for p in partials] == [4, 4, 2]
+        assert [len(p.vector.ids) for p in partials] == [4, 4, 2]
         assert {p.subgroup_index for p in partials} == {0, 1, 2}
 
     def test_max_receivers_enforced(self):

@@ -126,7 +126,9 @@ class TestWireSizes:
     def test_cert_size_includes_vector(self):
         from repro.crypto.hmacvec import HmacVector, sim_mac
 
-        vector = HmacVector(tuple((i, sim_mac(bytes([i]) * 8, b"m")) for i in range(8)))
+        vector = HmacVector(
+            tuple(range(8)), b"".join([sim_mac(bytes([i]) * 8, b"m") for i in range(8)])
+        )
         cert = OrderingCertificate(1, 1, 1, b"d" * 32, None, 0, AuthVariant.HMAC,
                                    hm_vector=vector)
         bare = OrderingCertificate(1, 1, 1, b"d" * 32, None, 0, AuthVariant.HMAC)
