@@ -19,7 +19,7 @@ group it:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.aom.messages import (
@@ -34,6 +34,7 @@ from repro.crypto.costmodel import CostModel
 from repro.net.endpoint import Endpoint
 from repro.net.fabric import Fabric
 from repro.net.packet import GroupAddress
+from repro.records import record
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 from repro.switchfab.fpga import FpgaCoprocessor
@@ -42,7 +43,7 @@ from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
 SWITCH_IDENTITY_BASE = 1_000_000
 
 
-@dataclass
+@record
 class GroupState:
     """Book-keeping for one managed aom group."""
 

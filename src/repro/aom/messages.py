@@ -14,13 +14,13 @@ authentication property NeoBFT's gap and view-change protocols rely on.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
 
 from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
+from repro.records import record
 from repro.switchfab.fpga import ChainedToken
 
 
@@ -60,7 +60,7 @@ class NetworkFaultModel(str, Enum):
     BYZANTINE = "byzantine"  # tolerate equivocating sequencers via confirms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AomConfig:
     """Static configuration of one aom group."""
 
@@ -70,7 +70,7 @@ class AomConfig:
     confirm_fault_bound: int = 1  # f for the 2f+1 confirm quorum (BN mode)
 
 
-@dataclass
+@record
 class AomPacket:
     """One datagram as multicast by the sequencer switch to one receiver."""
 
@@ -92,7 +92,7 @@ class AomPacket:
         return auth_input(self.digest, self.sequence, self.epoch)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Confirm:
     """BN-mode receiver confirmation: <confirm, s, h> authenticated."""
 
@@ -110,7 +110,7 @@ class Confirm:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainLink:
     """One intermediate packet's header fields inside a :class:`PkProof`."""
 
@@ -119,7 +119,7 @@ class ChainLink:
     prev_digest: bytes
 
 
-@dataclass
+@record
 class PkProof:
     """Transferable proof for a pk-authenticated packet.
 
@@ -136,7 +136,7 @@ class PkProof:
         return self.signature.wire_size() + sum(8 + 64 for _ in self.links)
 
 
-@dataclass
+@record
 class OrderingCertificate:
     """What aom delivers: a message plus its verifiable ordering evidence."""
 
@@ -171,7 +171,7 @@ class OrderingCertificate:
         return size
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DropNotification:
     """Delivered in place of a message the network dropped (§3.2)."""
 
@@ -180,7 +180,7 @@ class DropNotification:
     sequence: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EpochConfig:
     """Configuration-service announcement installing a sequencer epoch."""
 
@@ -192,7 +192,7 @@ class EpochConfig:
     hmac_key: bytes = b""  # this receiver's key with the switch (hm only)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FailoverRequest:
     """Receiver -> configuration service: the sequencer looks faulty."""
 
@@ -202,7 +202,7 @@ class FailoverRequest:
 
 
 # Messages the receiver library exchanges on its own behalf.
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfirmBatch:
     """BN mode: confirms are batched to amortize per-message overhead."""
 

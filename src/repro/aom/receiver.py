@@ -18,7 +18,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.aom.messages import (
     AomConfig,
@@ -100,6 +100,7 @@ class AomReceiverLib:
         self.epoch = 0
         self.epoch_config: Optional[EpochConfig] = None
         self._switch_mac = None  # prepared MAC state of epoch_config.hmac_key
+        self._peers: Tuple[int, ...] = ()  # the epoch's other receivers
         self._reset_epoch_state()
         self._counters = host.sim.metrics.scope("aom.", node=host.name)
         self.last_delivery_ns = 0  # when the head last advanced
@@ -144,6 +145,10 @@ class AomReceiverLib:
         self.epoch = epoch_config.epoch
         self.epoch_config = epoch_config
         self._switch_mac = mac_state(epoch_config.hmac_key)
+        # One tuple per epoch: every confirm vector this receiver makes
+        # shares it as its ids.
+        me = self.host.address
+        self._peers = tuple([rid for rid in epoch_config.receiver_ids if rid != me])
         self.epoch_installed_ns = self.host.sim.now
         self._reset_epoch_state()
 
@@ -396,8 +401,7 @@ class AomReceiverLib:
             replica=my_id,
             auth=None,
         )
-        peers = [rid for rid in self.epoch_config.receiver_ids if rid != my_id]
-        vector = self.crypto.mac_vector(peers, body_stub.signed_body())
+        vector = self.crypto.mac_vector(self._peers, body_stub.signed_body())
         confirm = Confirm(
             group_id=cert.group_id,
             epoch=cert.epoch,
@@ -429,10 +433,8 @@ class AomReceiverLib:
             return
         batch = ConfirmBatch(tuple(self._confirm_outbox))
         self._confirm_outbox = []
-        my_id = self.host.address
-        for rid in self.epoch_config.receiver_ids:
-            if rid != my_id:
-                self.host.send(rid, batch)
+        for rid in self._peers:
+            self.host.send(rid, batch)
 
     def on_confirm_batch(self, batch, src: int) -> None:
         """Handle a peer's batched confirms."""

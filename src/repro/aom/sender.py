@@ -8,14 +8,14 @@ address. Senders never learn receiver identities — only the group address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.backend import CryptoContext
 from repro.net.packet import GroupAddress, wire_size_of
+from repro.records import record
 
 
-@dataclass
+@record
 class AomSendDatagram:
     """What leaves the sender's NIC toward the group address."""
 

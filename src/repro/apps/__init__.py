@@ -11,11 +11,31 @@ may need to undo):
 - :mod:`repro.apps.ycsb` — the YCSB workload generator (zipfian key
   choice, workload A/B/C mixes, 100K x 128 B records for the paper's
   configuration).
+
+The key-value store and YCSB names load on first use, so a cluster that
+replicates the echo or counter service does not import them.
 """
 
+import importlib
+
 from repro.apps.statemachine import EchoApp, StateMachine
-from repro.apps.kvstore.store import KeyValueApp
-from repro.apps.ycsb import YcsbWorkload, zipfian_sampler
+
+#: Exported names whose module loads on first access.
+_LAZY = {
+    "KeyValueApp": "repro.apps.kvstore.store",
+    "YcsbWorkload": "repro.apps.ycsb",
+    "zipfian_sampler": "repro.apps.ycsb",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "EchoApp",

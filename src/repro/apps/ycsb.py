@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Callable, List
 
 from repro.apps.kvstore.store import encode_get, encode_put
+from repro.records import record
 
 ZIPFIAN_CONSTANT = 0.99
 
@@ -57,7 +57,7 @@ def scramble(rank: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkloadMix:
     """Operation proportions of one YCSB workload."""
 

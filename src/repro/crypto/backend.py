@@ -14,13 +14,13 @@ state, never the key store, so unforgeability holds by construction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
+from repro.records import record
 from repro.sim.monitor import MetricsRegistry
 
 #: Derives every identity secret (see :meth:`KeyAuthority.register`).
@@ -29,7 +29,7 @@ IDENTITY_SEED = b"repro"
 SIGNATURE_TAG_SIZE = 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Signature:
     """A signature attributable to ``signer_id`` over some bytes."""
 

@@ -9,12 +9,12 @@ figures for the paper's 2.9 GHz Xeon Gold testbed era).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro.records import record
 from repro.sim.clock import us
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CostModel:
     """Per-operation simulated CPU costs, in nanoseconds."""
 

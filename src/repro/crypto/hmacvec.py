@@ -22,8 +22,9 @@ one bytes object beyond the vector itself.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import List, Tuple
+
+from repro.records import record
 
 HMAC_TAG_SIZE = 4
 
@@ -56,7 +57,7 @@ def mac_with(state, data: bytes) -> bytes:
     return tagger.digest()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HmacVector:
     """Per-receiver tags over one input: ``HMAC_TAG_SIZE`` bytes of
     ``packed`` per id in ``ids``, in ``ids`` order."""

@@ -13,7 +13,12 @@ Two ways to use them:
   timed inject/heal events executed on the virtual clock, with a
   :class:`~repro.faults.invariants.InvariantMonitor` checking safety on
   every commit while the faults are live (see ``docs/faults.md``).
+
+The fuzzer's names (:mod:`repro.faults.fuzz`) load on first use, so a
+campaign or a monitored run does not import the fuzzer.
 """
+
+import importlib
 
 from repro.faults.behaviors import (
     corrupt_macs,
@@ -33,19 +38,6 @@ from repro.faults.campaign import (
     FaultSpec,
     TimelineEntry,
     run_campaign,
-)
-from repro.faults.fuzz import (
-    FuzzBudget,
-    FuzzCase,
-    FuzzOutcome,
-    FuzzReport,
-    fuzz_sweep,
-    generate_case,
-    load_artifact,
-    replay_artifact,
-    run_case,
-    save_artifact,
-    shrink_case,
 )
 from repro.faults.invariants import InvariantMonitor, InvariantViolation
 from repro.faults.linearizability import (
@@ -69,6 +61,34 @@ from repro.faults.registry import (
     unregister_fault_kind,
 )
 from repro.faults.sequencer import equivocate_sequencer, fail_sequencer, flap_sequencer
+
+#: Exported names whose module loads on first access.
+_LAZY = dict.fromkeys(
+    (
+        "FuzzBudget",
+        "FuzzCase",
+        "FuzzOutcome",
+        "FuzzReport",
+        "fuzz_sweep",
+        "generate_case",
+        "load_artifact",
+        "replay_artifact",
+        "run_case",
+        "save_artifact",
+        "shrink_case",
+    ),
+    "repro.faults.fuzz",
+)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CampaignRun",

@@ -21,7 +21,7 @@ the monitor, arm the campaign, measure, and return the lot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.behaviors import (
@@ -47,6 +47,7 @@ from repro.faults.sequencer import (
     fail_sequencer,
     flap_sequencer,
 )
+from repro.records import record
 from repro.sim.clock import format_duration, ms, us
 
 
@@ -55,7 +56,7 @@ from repro.sim.clock import format_duration, ms, us
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultSpec:
     """What to break: a fault kind plus its parameters.
 
@@ -78,7 +79,7 @@ class FaultSpec:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultEvent:
     """One scheduled fault: inject at ``at_ns``, heal at ``until_ns``.
 
@@ -351,7 +352,7 @@ register_fault_kind("partition", _inject_partition, "network")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimelineEntry:
     """One thing the campaign did, stamped with virtual time."""
 
@@ -518,7 +519,7 @@ class CompletionTimeline:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CampaignRun:
     """Everything a chaos run produced."""
 

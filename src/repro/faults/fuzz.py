@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,6 +39,7 @@ from repro.faults.linearizability import (
     check_counter_history_with_gaps,
 )
 from repro.faults.registry import GenContext, fuzzable_kinds, kind_for
+from repro.records import record
 from repro.sim.clock import ms
 from repro.sim.randomness import RandomStreams
 
@@ -58,7 +59,7 @@ _ONE = (1).to_bytes(8, "big", signed=True)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuzzBudget:
     """Constraints a generated schedule must respect.
 
@@ -73,7 +74,7 @@ class FuzzBudget:
     allowed_kinds: Optional[Tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuzzCase:
     """A fully-specified fuzz input: everything a run needs, replayable."""
 
@@ -87,7 +88,7 @@ class FuzzCase:
     drain_ns: int = ms(10)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     """What went wrong, normalised enough to compare across runs."""
 
@@ -96,7 +97,7 @@ class Violation:
     message: str
 
 
-@dataclass
+@record
 class FuzzOutcome:
     """The result of executing one case."""
 
@@ -311,7 +312,7 @@ def run_case(case: FuzzCase) -> FuzzOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ShrinkStats:
     """How the shrink went (for reports and tests)."""
 
@@ -516,7 +517,7 @@ def replay_artifact(path) -> FuzzOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class FuzzFinding:
     """One violating seed, shrunk and (optionally) saved."""
 
@@ -528,7 +529,7 @@ class FuzzFinding:
     artifact_path: Optional[str] = None
 
 
-@dataclass
+@record
 class FuzzReport:
     """Everything a fuzz sweep produced."""
 

@@ -14,12 +14,13 @@ to two checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
+from repro.records import record
 
-@dataclass
+
+@record
 class CounterOp:
     """One completed client operation."""
 

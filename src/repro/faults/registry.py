@@ -26,14 +26,15 @@ must all set. An empty tuple applies to every protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
+
+from repro.records import record
 
 #: Budget categories understood by the fuzzer.
 CATEGORIES = ("replica", "network", "sequencer", "custom")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenContext:
     """What a fault-kind generator may condition its draws on."""
 
@@ -47,7 +48,7 @@ class GenContext:
         return tuple(range(self.n))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultKind:
     """One registered fault kind."""
 

@@ -12,13 +12,15 @@ method degrades the model gracefully instead of crashing a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import Any, Union
+
+from repro.records import record
 
 UDP_HEADER_BYTES = 42  # Ethernet + IPv4 + UDP framing
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupAddress:
     """A multicast group identity (the aom group address of §3.2)."""
 
@@ -31,7 +33,7 @@ class GroupAddress:
 Address = Union[int, GroupAddress]
 
 
-@dataclass
+@record
 class Packet:
     """One network-layer datagram in flight."""
 

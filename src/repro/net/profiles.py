@@ -8,12 +8,13 @@ measurements on that class of hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from repro.records import record
 from repro.sim.clock import ns, us
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkProfile:
     """One direction of a host<->switch cable."""
 
@@ -26,7 +27,7 @@ class LinkProfile:
         return int(size_bytes * 8 / self.bandwidth_gbps)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NetworkProfile:
     """Whole-fabric parameters."""
 

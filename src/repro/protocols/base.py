@@ -9,7 +9,7 @@ reply MACs, at-most-once caching, reply quorum collection, retransmission
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.backend import CryptoContext
@@ -18,11 +18,12 @@ from repro.crypto.digests import remember
 from repro.net.endpoint import Endpoint
 from repro.protocols.log import EntryKind, LogEntry, ReplicaLog
 from repro.protocols.messages import ClientReply, ClientRequest, reply_body, request_body
+from repro.records import record
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReplicaGroup:
     """Static membership of one replication group."""
 

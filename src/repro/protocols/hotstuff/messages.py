@@ -10,7 +10,7 @@ the same key-authority mechanics as other signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import IntEnum
 from typing import Optional, Tuple
 
@@ -18,6 +18,7 @@ from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
+from repro.records import record
 
 
 class Phase(IntEnum):
@@ -28,7 +29,7 @@ class Phase(IntEnum):
     COMMIT = 3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuorumCert:
     """A combined threshold signature over (view, seq, phase, digest)."""
 
@@ -47,7 +48,7 @@ def qc_body(view: int, seq: int, phase: int, digest: bytes) -> bytes:
     return fields_digest(b"hotstuff-qc", view, seq, phase, digest)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proposal:
     """Leader's phase message: batch (prepare) or QC justification."""
 
@@ -62,7 +63,7 @@ class Proposal:
         return 56 + sum(r.wire_size() for r in self.batch) + (96 if self.justify else 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vote:
     """A replica's threshold-signature share for one phase."""
 
@@ -77,7 +78,7 @@ class Vote:
         return 56 + self.share.wire_size()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Decide:
     """Leader's final decide carrying the commit QC."""
 

@@ -10,11 +10,11 @@ prefix, and the chain supports O(1) truncation for speculative rollback
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, List, Optional
 
 from repro.crypto.digests import HashChain, sha256_digest
+from repro.records import record
 
 
 class EntryKind(str, Enum):
@@ -24,7 +24,7 @@ class EntryKind(str, Enum):
     NOOP = "noop"
 
 
-@dataclass
+@record
 class LogEntry:
     """One log slot's contents."""
 

@@ -9,14 +9,14 @@ be able to verify (view changes, gap agreement evidence, confirms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.crypto.digests import fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClientRequest:
     """<REQUEST, op, request-id> from a client."""
 
@@ -61,7 +61,7 @@ def batch_digest(batch: Tuple[ClientRequest, ...]) -> bytes:
     return fields_digest(b"batch", *[r.canonical() for r in batch])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClientReply:
     """<REPLY, view, replica, request-id, result [, slot, log-hash]>."""
 

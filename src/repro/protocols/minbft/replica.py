@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.digests import fields_digest
@@ -12,9 +12,10 @@ from repro.protocols.base import BaseReplica, ReplicaGroup
 from repro.protocols.batching import Batcher
 from repro.protocols.messages import ClientRequest, batch_digest
 from repro.protocols.minbft.usig import Usig, UsigCertificate
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinBftPrepare:
     """<PREPARE, v, batch, UI_p> from the primary."""
 
@@ -27,7 +28,7 @@ class MinBftPrepare:
         return 44 + sum(r.wire_size() for r in self.batch) + self.ui.wire_size()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinBftCommit:
     """<COMMIT, v, replica, UI_p, UI_i> broadcast by every replica."""
 

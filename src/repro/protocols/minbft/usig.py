@@ -18,17 +18,17 @@ running USIG inside SGX); ``verify_ui`` charges the verification side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.crypto.backend import CryptoContext, KeyAuthority, Signature
 from repro.crypto.digests import fields_digest
+from repro.records import record
 
 #: Offset separating USIG enclave identities from replica identities in
 #: the key authority's namespace.
 USIG_IDENTITY_OFFSET = 500_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UsigCertificate:
     """A unique identifier: (replica, counter, attestation signature)."""
 

@@ -11,18 +11,18 @@ certificates, view-change bundles).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.aom.messages import OrderingCertificate
 from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.protocols import adversary
+from repro.records import record
 
 _VIEW_ID = struct.Struct(">qq").pack
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class ViewId:
     """<epoch-num, leader-num>; lexicographic order = "higher view"."""
 
@@ -41,7 +41,7 @@ class ViewId:
         return _VIEW_ID(self.epoch, self.leader_num)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Query:
     """<QUERY, view-id, log-slot-num> — unsigned by design (§5.4)."""
 
@@ -49,7 +49,7 @@ class Query:
     slot: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QueryReply:
     """<QUERY-REPLY, view-id, log-slot-num, oc> — oc is self-verifying."""
 
@@ -58,7 +58,7 @@ class QueryReply:
     oc: OrderingCertificate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapFind:
     """Leader broadcast: does anyone hold slot's ordering certificate?"""
 
@@ -70,7 +70,7 @@ class GapFind:
         return fields_digest(b"gap-find", self.view.encode(), self.slot)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapRecv:
     """Reply: here is the certificate (self-verifying, unsigned)."""
 
@@ -79,7 +79,7 @@ class GapRecv:
     oc: OrderingCertificate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapDrop:
     """Reply: I too saw a drop-notification for this slot (signed)."""
 
@@ -92,7 +92,7 @@ class GapDrop:
         return fields_digest(b"gap-drop", self.view.encode(), self.replica, self.slot)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapDecision:
     """Leader's proposal: commit the oc, or commit a no-op.
 
@@ -115,7 +115,7 @@ class GapDecision:
         return fields_digest(b"gap-decision", self.view.encode(), self.slot, kind)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapPrepare:
     """<GAP-PREPARE, view-id, replica, slot, recv-or-drop> (signed)."""
 
@@ -135,7 +135,7 @@ class GapPrepare:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapCommit:
     """<GAP-COMMIT, view-id, replica, slot, recv-or-drop> (signed).
 
@@ -159,7 +159,7 @@ class GapCommit:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EpochStart:
     """<EPOCH-START, epoch, log-slot-num> (signed); 2f+1 = epoch certificate."""
 
@@ -172,7 +172,7 @@ class EpochStart:
         return fields_digest(b"epoch-start", self.epoch, self.slot, self.replica)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EpochCertificate:
     """2f+1 matching EPOCH-STARTs: agreed starting slot of an epoch."""
 
@@ -184,7 +184,7 @@ class EpochCertificate:
         return 16 + 48 * len(self.starts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogEntrySummary:
     """One log slot as carried inside a view-change message."""
 
@@ -200,7 +200,7 @@ class LogEntrySummary:
         return 64 + (48 * len(self.gap_cert))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ViewChange:
     """<VIEW-CHANGE, view-id, v', epoch-certs, log> (signed)."""
 
@@ -227,7 +227,7 @@ class ViewChange:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ViewStart:
     """<VIEW-START, v', view-change-msgs> from the new leader (signed)."""
 
@@ -242,7 +242,7 @@ class ViewStart:
         return 48 + sum(vc.wire_size() for vc in self.view_changes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateTransferRequest:
     """Fetch log entries [from_slot, to_slot) from a peer.
 
@@ -256,7 +256,7 @@ class StateTransferRequest:
     to_slot: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateTransferReply:
     """Entries answering a :class:`StateTransferRequest`."""
 
@@ -268,7 +268,7 @@ class StateTransferReply:
         return 20 + sum(e.wire_size() for e in self.entries)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyncMessage:
     """<SYNC, view-id, log-slot-num, drops> (signed) — B.2."""
 

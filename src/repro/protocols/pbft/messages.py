@@ -6,7 +6,7 @@ signed (it must convince third parties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.crypto.backend import Signature
@@ -14,6 +14,7 @@ from repro.crypto.digests import fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
+from repro.records import record
 
 
 def pre_prepare_body(view: int, seq: int, digest: bytes) -> bytes:
@@ -36,7 +37,7 @@ def checkpoint_body(seq: int, state_digest: bytes, replica: int) -> bytes:
     return fields_digest(b"checkpoint", seq, state_digest, replica)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrePrepare:
     """<PRE-PREPARE, v, n, d> plus the request batch (piggybacked)."""
 
@@ -60,7 +61,7 @@ class PrePrepare:
         return size
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Prepare:
     """<PREPARE, v, n, d, i>."""
 
@@ -78,7 +79,7 @@ class Prepare:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Commit:
     """<COMMIT, v, n, d, i>."""
 
@@ -96,7 +97,7 @@ class Commit:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Checkpoint:
     """<CHECKPOINT, n, d, i>."""
 
@@ -115,7 +116,7 @@ class Checkpoint:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PreparedProof:
     """One prepared batch carried in a view-change message."""
 
@@ -128,7 +129,7 @@ class PreparedProof:
         return 52 + sum(r.wire_size() for r in self.batch)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PbftViewChange:
     """<VIEW-CHANGE, v+1, n, P, i> (signed)."""
 
@@ -151,7 +152,7 @@ class PbftViewChange:
         return 80 + sum(p.wire_size() for p in self.prepared)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PbftNewView:
     """<NEW-VIEW, v+1, V, O> (signed)."""
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.crypto.digests import chain_step, fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
+from repro.records import record
 
 
 def order_req_body(view: int, seq: int, history: bytes, digest: bytes) -> bytes:
@@ -16,7 +17,7 @@ def order_req_body(view: int, seq: int, history: bytes, digest: bytes) -> bytes:
     return fields_digest(b"order-req", view, seq, history, digest)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderReq:
     """<ORDER-REQ, v, n, h_n, d> plus the batch: primary -> replicas."""
 
@@ -43,7 +44,7 @@ class OrderReq:
         return size
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpecResponseInfo:
     """Extra fields a speculative reply carries (inside ClientReply.extra)."""
 
@@ -52,7 +53,7 @@ class SpecResponseInfo:
     order_digest: bytes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommitCertEntry:
     """One replica's contribution to a commit certificate."""
 
@@ -62,7 +63,7 @@ class CommitCertEntry:
     result_digest: bytes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClientCommit:
     """<COMMIT, cc>: client -> replicas when the fast path stalls."""
 
@@ -86,7 +87,7 @@ class ClientCommit:
         return 60 + 56 * len(self.entries)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalCommit:
     """<LOCAL-COMMIT, v, d, h, i, c>: replica acknowledges the certificate."""
 
@@ -108,7 +109,7 @@ class LocalCommit:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FillHole:
     """<FILL-HOLE, v, n>: replica asks the primary for a missed batch."""
 

@@ -15,7 +15,7 @@ Protocol names accepted by :func:`build_cluster`:
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.apps.statemachine import EchoApp, StateMachine
@@ -24,6 +24,7 @@ from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.net.fabric import Fabric
 from repro.net.profiles import NetworkProfile
 from repro.protocols.base import BaseClient, BaseReplica, ReplicaGroup
+from repro.records import record
 from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
     from repro.aom.config import AomConfigService
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Family:
     """One row of the builder's table: a protocol's classes, its sizing,
     and its system and fault model.
@@ -106,7 +107,7 @@ def family_of(protocol: str) -> Family:
     return family
 
 
-@dataclass
+@record
 class ClusterOptions:
     """Everything needed to assemble one system under test."""
 
@@ -135,7 +136,7 @@ class ClusterOptions:
         return family_of(self.protocol).replica_factor * self.f + 1
 
 
-@dataclass
+@record
 class Cluster:
     """A fully wired system under test."""
 

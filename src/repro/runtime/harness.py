@@ -10,9 +10,10 @@ the determinism test suite asserts result-for-result equality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.records import record
 from repro.runtime.cluster import Cluster, ClusterOptions, build_cluster
 from repro.runtime.parallel import parallel_map
 from repro.sim.clock import MICROSECOND, ms
@@ -20,7 +21,7 @@ from repro.sim.monitor import Histogram, MetricsSnapshot, RateMeter
 from repro.telemetry import Telemetry
 
 
-@dataclass
+@record
 class RunResult:
     """Outcome of one measured run."""
 

@@ -11,7 +11,6 @@ engine's egress, bypassing host endpoints entirely — so Figures 4, 5 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.aom.messages import AuthVariant
@@ -19,6 +18,7 @@ from repro.aom.sequencer import AomSequencer
 from repro.crypto.backend import KeyAuthority
 from repro.crypto.digests import sha256_digest
 from repro.net.packet import GroupAddress, Packet
+from repro.records import record
 from repro.sim import Histogram, Simulator
 from repro.sim.clock import MICROSECOND
 from repro.switchfab.fpga import FpgaCoprocessor
@@ -55,7 +55,7 @@ class _EgressProbe:
         self.delivered += 1
 
 
-@dataclass
+@record
 class MicrobenchResult:
     """Outcome of one switch-side run."""
 
@@ -108,7 +108,7 @@ def build_sequencer(
     )
 
 
-@dataclass
+@record
 class _SyntheticAomMessage:
     digest: bytes
     payload: bytes

@@ -8,8 +8,11 @@ and the labeled metrics registry every layer counts into.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.records import record
+
 
 class Histogram:
     """Exact-sample histogram with percentile queries.
@@ -270,7 +273,7 @@ class MetricsRegistry:
         )
 
 
-@dataclass
+@record
 class MetricsSnapshot:
     """Point-in-time copy of a registry, attached to ``RunResult``."""
 

@@ -18,15 +18,15 @@ receivers never wait unboundedly for a verifiable packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.crypto.backend import Signature
+from repro.records import record
 from repro.sim.clock import us
 from repro.switchfab.tofino import PacketEngine
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FpgaBudget:
     """Total programmable resources of the card (Alveo U50)."""
 
@@ -44,7 +44,7 @@ SIGNER_RATE_PPS = 980_000.0
 PATH_LATENCY_NS = 2_300
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FpgaModule:
     """Resource demand of one hardware module."""
 
@@ -66,7 +66,7 @@ FPGA_MODULES = (
 )
 
 
-@dataclass
+@record
 class ChainedToken:
     """The authenticator aom-pk packets carry."""
 

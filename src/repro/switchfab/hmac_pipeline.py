@@ -23,10 +23,10 @@ Timing consequences (these produce Figures 4 and 6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
+from repro.records import record
 from repro.sim.clock import ns, us
 from repro.switchfab.tofino import (
     PacketEngine,
@@ -42,7 +42,7 @@ UNROLLED_PASSES = 12
 MAX_RECEIVERS = SUBGROUP_SIZE * LOOPBACK_PORTS  # 64, as in the paper
 
 
-@dataclass
+@record
 class PartialVector:
     """One subgroup packet's worth of HMAC entries."""
 

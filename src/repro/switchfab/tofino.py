@@ -20,13 +20,14 @@ Two concerns live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Tuple
 
+from repro.records import record
 from repro.sim.clock import us
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResourceBudget:
     """Per-pipe capacity of the modeled switch ASIC."""
 
@@ -41,7 +42,7 @@ class ResourceBudget:
 TOFINO_BUDGET = ResourceBudget()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TableSpec:
     """One logical match-action table (or hash computation step)."""
 
@@ -53,7 +54,7 @@ class TableSpec:
     vliw_slots: int = 0
 
 
-@dataclass
+@record
 class PipeProgram:
     """A P4 program mapped onto one pipe."""
 
@@ -83,7 +84,7 @@ class PipeProgram:
         return False
 
 
-@dataclass
+@record
 class ResourceReport:
     """Utilization of one pipe against the budget (Table 2 rows)."""
 

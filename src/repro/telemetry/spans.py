@@ -19,9 +19,10 @@ this request *currently* waiting on".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.records import record
 from repro.sim.clock import format_duration
 
 #: One request's identity: (client host address, request id).
@@ -31,7 +32,7 @@ TraceKey = Tuple[int, int]
 CATEGORIES = ("net", "sequencer", "crypto", "quorum", "client", "other")
 
 
-@dataclass
+@record
 class Span:
     """One timed interval of work attributed to a trace."""
 
@@ -187,7 +188,7 @@ def build_tree(spans: List[Span]) -> List[Tuple[Span, int]]:
     return out
 
 
-@dataclass
+@record
 class TraceDecomposition:
     """Exact per-category split of one request's end-to-end latency."""
 

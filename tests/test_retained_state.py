@@ -1,7 +1,8 @@
 """Retained authenticator and undo state: MAC vectors share their
-replica's peer tuple, and every executed slot keeps one flat undo record
+replica's (or aom receiver's) peer tuple, and every executed slot keeps one flat undo record
 that restores exactly what the execution replaced."""
 
+from repro.aom.messages import ConfirmBatch
 from repro.apps.statemachine import EchoApp
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols.log import EntryKind, LogEntry
@@ -28,6 +29,26 @@ def test_every_vector_a_pbft_replica_sends_shares_its_peer_tuple():
         assert vectors
         assert all(vector.ids is replica.peers() for vector in vectors)
     assert cluster.replicas[0].peers() is cluster.replicas[0].peers()
+
+
+def test_every_confirm_an_aom_bn_receiver_makes_shares_one_peer_tuple():
+    cluster = build_cluster(ClusterOptions(protocol="neobft-bn", num_clients=4, seed=3))
+    sent = {replica.address: [] for replica in cluster.replicas}
+    for replica in cluster.replicas:
+        def note(dst, message, _sent=sent[replica.address]):
+            if isinstance(message, ConfirmBatch):
+                _sent.extend(confirm.auth for confirm in message.confirms)
+            return message
+
+        replica.add_send_interposer(note)
+    run = Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(2)).run()
+    assert run.completions > 0
+    for replica in cluster.replicas:
+        vectors = sent[replica.address]
+        assert vectors
+        peers = vectors[0].ids
+        assert peers == tuple(a for a in replica.group.replica_addrs if a != replica.address)
+        assert all(vector.ids is peers for vector in vectors)
 
 
 def test_echo_app_returns_one_shared_inverse():

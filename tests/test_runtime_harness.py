@@ -271,3 +271,30 @@ class TestLazyImports:
         )
         assert "repro.faults.behaviors" in loaded
         assert not aom_or_switch_modules(loaded)
+
+    def test_monitored_neobft_build_loads_no_fuzzer_store_or_ycsb(self):
+        # What a fig7 or chaos execution imports: a NeoBFT build and the
+        # fault package for its campaign and invariant monitor.
+        loaded = modules_loaded_by(
+            "import repro.faults; "
+            "from repro.runtime import ClusterOptions, build_cluster; "
+            "build_cluster(ClusterOptions(protocol='neobft-hm'))"
+        )
+        assert {"repro.faults.campaign", "repro.faults.invariants"} <= loaded
+        assert "repro.apps.statemachine" in loaded
+        assert not {"repro.faults.fuzz", "repro.apps.kvstore", "repro.apps.ycsb"} & loaded
+
+    def test_lazy_exports_resolve_on_access(self):
+        import repro.apps
+        import repro.faults
+        from repro.apps import KeyValueApp, YcsbWorkload
+        from repro.apps.kvstore.store import KeyValueApp as StoreApp
+        from repro.faults import FuzzBudget, run_case
+        from repro.faults.fuzz import run_case as fuzz_run_case
+
+        assert KeyValueApp is StoreApp and YcsbWorkload.__module__ == "repro.apps.ycsb"
+        assert run_case is fuzz_run_case and FuzzBudget.__module__ == "repro.faults.fuzz"
+        for package in (repro.apps, repro.faults):
+            assert all(hasattr(package, name) for name in package.__all__)
+            with pytest.raises(AttributeError):
+                package.no_such_name
