@@ -27,6 +27,7 @@ from repro.aom.messages import (
     AuthVariant,
     EpochConfig,
     FailoverRequest,
+    switch_identity,
 )
 from repro.aom.sequencer import AomSequencer
 from repro.crypto.backend import KeyAuthority
@@ -39,8 +40,6 @@ from repro.sim.clock import ms
 from repro.sim.engine import Simulator
 from repro.switchfab.fpga import FpgaCoprocessor
 from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
-
-SWITCH_IDENTITY_BASE = 1_000_000
 
 
 @record
@@ -110,9 +109,6 @@ class AomConfigService(Endpoint):
 
     # ------------------------------------------------------- epoch install
 
-    def _switch_identity(self, group_id: int, epoch: int) -> int:
-        return SWITCH_IDENTITY_BASE + group_id * 1_000 + epoch
-
     def _derive_hmac_key(self, group_id: int, epoch: int, receiver_id: int) -> bytes:
         material = hashlib.sha256(
             b"aom-key/%d/%d/%d" % (group_id, epoch, receiver_id)
@@ -123,7 +119,7 @@ class AomConfigService(Endpoint):
         state.epoch += 1
         epoch = state.epoch
         group_id = state.config.group_id
-        identity = self._switch_identity(group_id, epoch)
+        identity = switch_identity(group_id, epoch)
         self.authority.register(identity)
         hmac_pipeline = None
         fpga = None
@@ -165,7 +161,6 @@ class AomConfigService(Endpoint):
             epoch_config = EpochConfig(
                 group_id=group_id,
                 epoch=state.epoch,
-                sequencer_identity=self._switch_identity(group_id, state.epoch),
                 variant=state.config.variant,
                 receiver_ids=state.receiver_ids,
                 hmac_key=state.hmac_keys.get(rid, b""),

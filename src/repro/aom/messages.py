@@ -17,7 +17,6 @@ import struct
 from enum import Enum
 from typing import Any, Optional, Tuple
 
-from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.crypto.hmacvec import HmacVector
 from repro.records import record
@@ -32,6 +31,15 @@ class AuthVariant(str, Enum):
 
 
 _SEQUENCE_EPOCH = struct.Struct(">qq").pack
+
+#: Switch signing identities sit above every host address.
+SWITCH_IDENTITY_BASE = 1_000_000
+
+
+def switch_identity(group_id: int, epoch: int) -> int:
+    """The signing identity of a group's sequencer switch in ``epoch``:
+    what it signs aom-pk tokens as, and what receivers verify them against."""
+    return SWITCH_IDENTITY_BASE + group_id * 1_000 + epoch
 
 
 def header_digest(group_id: int, epoch: int, sequence: int, digest: bytes, prev: bytes) -> bytes:
@@ -101,7 +109,7 @@ class Confirm:
     sequence: int
     digest: bytes
     replica: int
-    auth: Any  # HmacVector over pairwise keys, or Signature
+    auth: Any  # HmacVector over pairwise keys
 
     def signed_body(self) -> bytes:
         """Canonical bytes the authenticator covers."""
@@ -129,11 +137,11 @@ class PkProof:
     the certified packet itself was signed.
     """
 
-    signature: Signature
+    signature: bytes
     links: Tuple[ChainLink, ...] = ()
 
     def wire_size(self) -> int:
-        return self.signature.wire_size() + sum(8 + 64 for _ in self.links)
+        return len(self.signature) + sum(8 + 64 for _ in self.links)
 
 
 @record
@@ -186,7 +194,6 @@ class EpochConfig:
 
     group_id: int
     epoch: int
-    sequencer_identity: int  # crypto identity of the (new) switch
     variant: AuthVariant
     receiver_ids: Tuple[int, ...]
     hmac_key: bytes = b""  # this receiver's key with the switch (hm only)

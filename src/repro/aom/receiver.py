@@ -32,6 +32,7 @@ from repro.aom.messages import (
     OrderingCertificate,
     PkProof,
     header_digest,
+    switch_identity,
 )
 from repro.crypto.backend import CryptoContext
 from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
@@ -93,7 +94,6 @@ class AomReceiverLib:
         self.payload_binding = payload_binding
         self._confirm_outbox: List[Confirm] = []
         self._confirm_timer = None
-        self._last_pk_verify = -pk_verify_interval_ns
         self._pending_signed = None
         self._pk_verify_timer = None
 
@@ -120,17 +120,15 @@ class AomReceiverLib:
 
     def _reset_epoch_state(self) -> None:
         self.next_seq = 1
-        self._arrived: Set[int] = set()
         self._authentic: Dict[int, OrderingCertificate] = {}
         self._dropped: Set[int] = set()
         self._hm_partials: Dict[int, Dict[int, AomPacket]] = {}
         self._pk_buffer: Dict[int, AomPacket] = {}
-        self._first_digest: Dict[int, bytes] = {}
         self._confirms: Dict[int, Dict[bytes, Dict[int, Confirm]]] = {}
         self._confirm_sent: Set[int] = set()
         self._stuck_timer = None
         self._confirm_outbox = []
-        if getattr(self, "_confirm_timer", None) is not None:
+        if self._confirm_timer is not None:
             self._confirm_timer.cancel()
         self._confirm_timer = None
         self._pending_signed = None
@@ -174,7 +172,6 @@ class AomReceiverLib:
         if seq < self.next_seq or seq in self._dropped:
             return  # stale or already resolved
         self._scan_for_drops(seq)
-        self._arrived.add(seq)
         if self.config.variant == AuthVariant.HMAC:
             self._ingest_hm(packet)
         else:
@@ -284,10 +281,9 @@ class AomReceiverLib:
         if packet is None:
             return
         self._pending_signed = None
-        self._last_pk_verify = self.host.sim.now
         self.crypto.digest(b"")  # charge: recompute header digest
-        header_digest = packet.header_digest()
-        if not self.crypto.verify(packet.auth.signature, header_digest):
+        signer = switch_identity(packet.group_id, packet.epoch)
+        if not self.crypto.verify(signer, packet.header_digest(), packet.auth.signature):
             return
         self._walk_chain(packet)
         self._flush()
@@ -310,7 +306,10 @@ class AomReceiverLib:
         while anchor is not None:
             if not first_anchor:
                 self.crypto.digest(b"")
-                if not self.crypto.verify(anchor.auth.signature, anchor.header_digest()):
+                signer = switch_identity(anchor.group_id, anchor.epoch)
+                if not self.crypto.verify(
+                    signer, anchor.header_digest(), anchor.auth.signature
+                ):
                     break
             first_anchor = False
             signature = anchor.auth.signature
@@ -384,7 +383,6 @@ class AomReceiverLib:
             self._dropped.add(cert.sequence)
             return
         self._authentic[cert.sequence] = cert
-        self._first_digest.setdefault(cert.sequence, cert.digest)
         if self.config.network_fault_model == NetworkFaultModel.BYZANTINE:
             self._send_confirm(cert)
 
@@ -505,11 +503,9 @@ class AomReceiverLib:
         self._manage_stuck_timer(progressed)
 
     def _cleanup(self, seq: int) -> None:
-        self._arrived.discard(seq)
         self._hm_partials.pop(seq, None)
         self._pk_buffer.pop(seq, None)
         self._confirms.pop(seq, None)
-        self._first_digest.pop(seq, None)
         self._confirm_sent.discard(seq)
 
     # ------------------------------------------------------- stuck watchdog
@@ -602,4 +598,6 @@ class AomReceiverLib:
                 cert.group_id, cert.epoch, link.sequence, link.payload_digest, link.prev_digest
             )
             sequence = link.sequence
-        return self.crypto.verify(proof.signature, current)
+        return self.crypto.verify(
+            switch_identity(cert.group_id, cert.epoch), current, proof.signature
+        )

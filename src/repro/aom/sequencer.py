@@ -19,7 +19,7 @@ only tolerable in the Byzantine-network fault model).
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence
 
 from repro.aom.messages import AomPacket, AuthVariant
@@ -134,7 +134,7 @@ class AomSequencer(GroupHandler):
                 stage="pipe1",
             )
             self._record_sequence_span(tel, arrival, done, sequence, payload)
-        copies = [dc_replace_packet(base, auth=partial) for partial in partials]
+        copies = [replace(base, auth=partial) for partial in partials]
         self.sim.post_at(done, self._multicast_many, copies)
 
     # ---------------------------------------------------------------- aom-pk
@@ -168,7 +168,7 @@ class AomSequencer(GroupHandler):
         if tel is not None:
             self.sim.metrics.set_gauge("switch.fpga_stock", self.fpga.stock_level(arrival))
             self._record_sequence_span(tel, arrival, done, sequence, payload)
-        packet = dc_replace_packet(provisional, auth=token)
+        packet = replace(provisional, auth=token)
         self.sim.post_at(done, self._multicast_many, [packet])
 
     # ----------------------------------------------------------- telemetry
@@ -205,8 +205,3 @@ class AomSequencer(GroupHandler):
                 sent_at=self.sim.now,
             )
             self.fabric.deliver_from_switch(receiver, egress)
-
-
-def dc_replace_packet(base: AomPacket, **changes) -> AomPacket:
-    """Copy an AomPacket with field changes (dataclasses.replace wrapper)."""
-    return dc_replace(base, **changes)

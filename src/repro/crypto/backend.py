@@ -5,10 +5,13 @@ with a 16-byte keyed BLAKE2b tag under a per-identity secret that only it
 holds, and :class:`CryptoContext` charges the calibrated secp256k1 ECDSA
 (or threshold, or USIG) cost for every sign and verify through the
 :class:`~repro.crypto.costmodel.CostModel`. Within the simulation the tag
-keeps the security semantics the protocols rely on: a signature verifies
-if and only if it was made for the claimed signer over exactly those
-bytes. Byzantine behaviours in :mod:`repro.faults` manipulate protocol
-state, never the key store, so unforgeability holds by construction.
+keeps the security semantics the protocols rely on. A signature is just
+its tag, and every check names the signer the verifier trusts:
+``verify(signer, data, tag)`` holds only if ``signer`` made ``tag`` over
+exactly ``data``, so a signature verifies only for the signer the
+verifier names, never for a name the message claims. Byzantine
+behaviours in :mod:`repro.faults` manipulate protocol state, never the
+key store, so unforgeability holds by construction.
 """
 
 from __future__ import annotations
@@ -20,25 +23,12 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.hmacvec import HmacVector, mac_state, mac_with
-from repro.records import record
 from repro.sim.monitor import MetricsRegistry
 
 #: Derives every identity secret (see :meth:`KeyAuthority.register`).
 IDENTITY_SEED = b"repro"
 #: Bytes in a signature tag.
 SIGNATURE_TAG_SIZE = 16
-
-
-@record(frozen=True)
-class Signature:
-    """A signature attributable to ``signer_id`` over some bytes."""
-
-    signer_id: int
-    payload: bytes
-
-    def wire_size(self) -> int:
-        """Bytes on the wire (the 16-byte tag)."""
-        return len(self.payload)
 
 
 class KeyAuthority:
@@ -64,19 +54,20 @@ class KeyAuthority:
                 IDENTITY_SEED + b"/identity/" + node_id.to_bytes(8, "big")
             ).digest()[:16]
 
-    def verify(self, signature: Signature, data: bytes) -> bool:
-        """Check that ``signature`` is valid for ``data``."""
-        secret = self._secrets.get(signature.signer_id)
-        return secret is not None and signature.payload == _tag(secret, data)
+    def verify(self, signer: int, data: bytes, tag: bytes) -> bool:
+        """Check that ``tag`` is ``signer``'s signature on ``data``; an
+        unregistered ``signer`` fails."""
+        secret = self._secrets.get(signer)
+        return secret is not None and tag == _tag(secret, data)
 
-    def sign_as(self, node_id: int, data: bytes) -> Signature:
-        """Sign on behalf of ``node_id``.
+    def sign_as(self, node_id: int, data: bytes) -> bytes:
+        """Sign on behalf of ``node_id``: the 16-byte tag.
 
         Only :class:`CryptoContext` instances bound to ``node_id`` call
         this; the contexts are handed out by the cluster builder, one per
         node, which is what scopes signing capability to the key owner.
         """
-        return Signature(node_id, _tag(self._secrets[node_id], data))
+        return _tag(self._secrets[node_id], data)
 
     def session_key(self, node_a: int, node_b: int) -> bytes:
         """The 8-byte MAC key shared by the unordered pair {a, b}.
@@ -153,49 +144,51 @@ class CryptoContext:
 
     # --------------------------------------------------------- signatures
 
-    def sign(self, data: bytes) -> Signature:
+    def sign(self, data: bytes) -> bytes:
         """Sign as this node; charges the public-key signing cost."""
         self.counters.add("sign")
         self.bill(self.cost.ecdsa_sign_ns)
         return self.authority.sign_as(self.node_id, data)
 
-    def verify(self, signature: Signature, data: bytes) -> bool:
-        """Verify any node's signature; charges the verification cost."""
+    def verify(self, signer: int, data: bytes, tag: bytes) -> bool:
+        """Check ``signer``'s signature on ``data``; charges the
+        verification cost."""
         self.counters.add("verify")
         self.bill(self.cost.ecdsa_verify_ns)
-        return self.authority.verify(signature, data)
+        return self.authority.verify(signer, data, tag)
 
     # ----------------------------------------------------- threshold sigs
 
-    def threshold_share(self, data: bytes) -> Signature:
+    def threshold_share(self, data: bytes) -> bytes:
         """Produce this node's threshold-signature share."""
         self.counters.add("share")
         self.bill(self.cost.threshold_share_sign_ns)
         return self.authority.sign_as(self.node_id, b"share/" + data)
 
-    def verify_threshold_share(self, share: Signature, data: bytes) -> bool:
-        """Verify another node's share."""
+    def verify_threshold_share(self, signer: int, data: bytes, share: bytes) -> bool:
+        """Verify ``signer``'s share."""
         self.counters.add("verify")
         self.bill(self.cost.threshold_share_verify_ns)
-        return self.authority.verify(share, b"share/" + data)
+        return self.authority.verify(signer, b"share/" + data, share)
 
-    def combine_threshold(self, data: bytes) -> Signature:
+    def combine_threshold(self, data: bytes) -> bytes:
         """Combine verified shares into a quorum certificate signature.
 
-        The combined object is signed under the combiner's identity; in
-        the simulation only the leader that actually collected shares
-        calls this (Byzantine QC forgery is out of scope for the baseline
-        performance comparison — NeoBFT's own safety never relies on it).
+        The combined object is signed under the combiner's identity, so a
+        verifier checks it against the leader that collected the shares
+        (Byzantine QC forgery by that leader is out of scope for the
+        baseline performance comparison — NeoBFT's own safety never
+        relies on it).
         """
         self.counters.add("combine")
         self.bill(self.cost.threshold_combine_ns)
         return self.authority.sign_as(self.node_id, b"combined/" + data)
 
-    def verify_threshold_combined(self, combined: Signature, data: bytes) -> bool:
-        """Verify a combined quorum-certificate signature."""
+    def verify_threshold_combined(self, signer: int, data: bytes, combined: bytes) -> bool:
+        """Verify a quorum-certificate signature ``signer`` combined."""
         self.counters.add("verify")
         self.bill(self.cost.threshold_verify_ns)
-        return self.authority.verify(combined, b"combined/" + data)
+        return self.authority.verify(signer, b"combined/" + data, combined)
 
     # --------------------------------------------------------------- MACs
     #

@@ -78,19 +78,6 @@ class HashChain:
         del self._heads[: length - self._base]
         self._base = length
 
-    @staticmethod
-    def verify(genesis: bytes, element_digests: List[bytes], head: bytes) -> bool:
-        """Recompute a chain from scratch and compare against ``head``.
-
-        This is what aom-pk receivers do for signature-less packets: walk
-        the hash chain from the last signed packet and check it links up
-        (§4.4's batch verification, done in the reverse direction).
-        """
-        current = genesis
-        for digest in element_digests:
-            current = chain_step(current, digest)
-        return current == head
-
 
 _INT_FIELD = struct.Struct(">Iq").pack
 _LENGTH = struct.Struct(">I").pack

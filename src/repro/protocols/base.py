@@ -140,6 +140,28 @@ class BaseReplica(Endpoint):
         ``signed_body()`` (charged)."""
         return replace(message, signature=self.crypto.sign(message.signed_body()))
 
+    def certified(self, messages, fits: Callable[[object], bool]) -> bool:
+        """Whether ``messages`` form a quorum certificate.
+
+        It takes at least a quorum of messages from distinct group
+        members, each passing ``fits`` and each signed by the replica it
+        names (``message.replica``). The messages are checked in order and
+        the first failure ends the check, so a bad certificate is charged
+        only the verifies before it.
+        """
+        if len(messages) < self.group.quorum:
+            return False
+        members = self.group.replica_addrs
+        seen = set()
+        for message in messages:
+            signer = message.replica
+            if signer in seen or signer not in members or not fits(message):
+                return False
+            if not self.crypto.verify(signer, message.signed_body(), message.signature):
+                return False
+            seen.add(signer)
+        return True
+
     # ------------------------------------------------------ client plumbing
 
     def on_client_request(self, request: ClientRequest) -> None:

@@ -14,7 +14,6 @@ from dataclasses import replace
 from enum import IntEnum
 from typing import Optional, Tuple
 
-from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.protocols import adversary
 from repro.protocols.messages import ClientRequest, batch_digest
@@ -37,7 +36,7 @@ class QuorumCert:
     seq: int
     phase: int
     digest: bytes
-    combined: Signature
+    combined: bytes  # signed by the leader of ``view``
 
     def body(self) -> bytes:
         return qc_body(self.view, self.seq, self.phase, self.digest)
@@ -72,10 +71,10 @@ class Vote:
     phase: int
     digest: bytes
     replica: int
-    share: Signature
+    share: bytes
 
     def wire_size(self) -> int:
-        return 56 + self.share.wire_size()
+        return 56 + len(self.share)
 
 
 @record(frozen=True)

@@ -106,7 +106,7 @@ class HotStuffReplica(BaseReplica):
         justify = proposal.justify
         if justify is None or justify.seq != proposal.seq:
             return
-        if not self.crypto.verify_threshold_combined(justify.combined, justify.body()):
+        if not self._qc_valid(justify):
             return
         state.qcs[justify.phase] = justify
         self._cast_vote(proposal.seq, proposal.phase, proposal.digest)
@@ -124,7 +124,7 @@ class HotStuffReplica(BaseReplica):
         if not self.is_leader or vote.view != self.view or vote.replica != src:
             return
         body = qc_body(vote.view, vote.seq, vote.phase, vote.digest)
-        if not self.crypto.verify_threshold_share(vote.share, body):
+        if not self.crypto.verify_threshold_share(vote.replica, body, vote.share):
             return
         self._record_vote(vote)
 
@@ -156,13 +156,19 @@ class HotStuffReplica(BaseReplica):
             if self.batcher.outstanding > 0:
                 self.batcher.batch_done()
 
+    def _qc_valid(self, qc: QuorumCert) -> bool:
+        """Whether ``qc`` carries the combined signature of its view's leader."""
+        return self.crypto.verify_threshold_combined(
+            self.group.leader_addr(qc.view), qc.body(), qc.combined
+        )
+
     def _on_decide(self, src: int, decide: Decide) -> None:
         if decide.view != self.view or src != self.leader_addr:
             return
         justify = decide.justify
         if justify.phase != Phase.COMMIT or justify.seq != decide.seq:
             return
-        if not self.crypto.verify_threshold_combined(justify.combined, justify.body()):
+        if not self._qc_valid(justify):
             return
         state = self._state(decide.seq)
         state.qcs[Phase.COMMIT] = justify

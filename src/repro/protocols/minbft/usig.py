@@ -9,7 +9,9 @@ binding. Correctness properties the tests exercise:
 - monotonicity: counter values are issued in strictly increasing order,
   with no gaps;
 - unforgeability: a UI that was not produced by the owning enclave's
-  ``create_ui`` fails verification.
+  ``create_ui`` fails verification: ``verify_ui`` checks the attestation
+  against the enclave identity of the replica the UI names, so neither
+  another enclave nor the replica's own signing key can attest for it.
 
 Cost model: each ``create_ui`` charges an enclave transition plus the
 attested increment (the dominant per-message cost the paper observed
@@ -19,7 +21,7 @@ running USIG inside SGX); ``verify_ui`` charges the verification side.
 from __future__ import annotations
 
 
-from repro.crypto.backend import CryptoContext, KeyAuthority, Signature
+from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.digests import fields_digest
 from repro.records import record
 
@@ -34,10 +36,10 @@ class UsigCertificate:
 
     replica: int
     counter: int
-    attestation: Signature
+    attestation: bytes
 
     def wire_size(self) -> int:
-        return 16 + self.attestation.wire_size()
+        return 16 + len(self.attestation)
 
 
 def _ui_body(replica: int, counter: int, message_digest: bytes) -> bytes:
@@ -67,4 +69,4 @@ class Usig:
         """Check that a UI was produced by the claimed replica's enclave."""
         self.crypto.bill(self.crypto.cost.usig_verify_ns)
         body = _ui_body(ui.replica, ui.counter, message_digest)
-        return self.authority.verify(ui.attestation, body)
+        return self.authority.verify(USIG_IDENTITY_OFFSET + ui.replica, body, ui.attestation)

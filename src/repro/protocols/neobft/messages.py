@@ -3,9 +3,10 @@
 View identifiers are ``(epoch, leader_num)`` 2-tuples ordered
 lexicographically: bumping ``leader_num`` replaces a faulty leader within
 an epoch; bumping ``epoch`` retires a faulty aom sequencer. Signed
-messages carry a :class:`~repro.crypto.backend.Signature` over a canonical
-byte form so any replica can validate third-party evidence (gap and epoch
-certificates, view-change bundles).
+messages carry a 16-byte signature tag over their ``signed_body()``, and
+every receiver checks it against the replica the message names (or the
+leader of its view), so any replica can validate third-party evidence
+(gap and epoch certificates, view-change bundles).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import struct
 from typing import Any, Optional, Tuple
 
 from repro.aom.messages import OrderingCertificate
-from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest
 from repro.protocols import adversary
 from repro.records import record
@@ -64,7 +64,7 @@ class GapFind:
 
     view: ViewId
     slot: int
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(b"gap-find", self.view.encode(), self.slot)
@@ -86,7 +86,7 @@ class GapDrop:
     view: ViewId
     replica: int
     slot: int
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(b"gap-drop", self.view.encode(), self.replica, self.slot)
@@ -104,7 +104,7 @@ class GapDecision:
     slot: int
     recv_oc: Optional[OrderingCertificate] = None
     drop_evidence: Tuple[GapDrop, ...] = ()
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     @property
     def is_drop(self) -> bool:
@@ -123,7 +123,7 @@ class GapPrepare:
     replica: int
     slot: int
     is_drop: bool
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(
@@ -147,7 +147,7 @@ class GapCommit:
     replica: int
     slot: int
     is_drop: bool
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(
@@ -166,7 +166,7 @@ class EpochStart:
     epoch: int
     slot: int
     replica: int
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(b"epoch-start", self.epoch, self.slot, self.replica)
@@ -209,7 +209,7 @@ class ViewChange:
     replica: int
     epoch_certs: Tuple[EpochCertificate, ...]
     log: Tuple[LogEntrySummary, ...]
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(
@@ -233,7 +233,7 @@ class ViewStart:
 
     new_view: ViewId
     view_changes: Tuple[ViewChange, ...]
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(b"view-start", self.new_view.encode(), len(self.view_changes))
@@ -270,13 +270,16 @@ class StateTransferReply:
 
 @record(frozen=True)
 class SyncMessage:
-    """<SYNC, view-id, log-slot-num, drops> (signed) — B.2."""
+    """<SYNC, view-id, log-slot-num, drops> — B.2.
+
+    ``tag`` is the sender's MAC to the receiver over ``signed_body()``.
+    """
 
     view: ViewId
     replica: int
     slot: int
     drops: Tuple[Tuple[int, Tuple[GapCommit, ...]], ...]  # (slot, gap cert)
-    signature: Optional[Signature] = None
+    tag: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(

@@ -568,7 +568,8 @@ class NeoBftReplica(BaseReplica):
     def _on_gap_find(self, src: int, find: GapFind) -> None:
         if find.view != self.view_id or src != self.leader_addr:
             return
-        if not self.crypto.verify(find.signature, find.signed_body()):
+        signer = self.group.leader_addr(find.view.leader_num)
+        if not self.crypto.verify(signer, find.signed_body(), find.signature):
             return
         cert = self._entry_certificate(find.slot)
         if cert is None:
@@ -607,7 +608,7 @@ class NeoBftReplica(BaseReplica):
         state = self._gap_state(drop.slot)
         if state.decision is not None or state.resolved:
             return
-        if not self.crypto.verify(drop.signature, drop.signed_body()):
+        if not self.crypto.verify(drop.replica, drop.signed_body(), drop.signature):
             return
         state.drop_votes[drop.replica] = drop
         if len(state.drop_votes) >= self.group.quorum:
@@ -628,7 +629,8 @@ class NeoBftReplica(BaseReplica):
         state = self._gap_state(decision.slot)
         if state.decision is not None:
             return
-        if not self.crypto.verify(decision.signature, decision.signed_body()):
+        signer = self.group.leader_addr(decision.view.leader_num)
+        if not self.crypto.verify(signer, decision.signed_body(), decision.signature):
             return
         if decision.is_drop:
             if not self._validate_drop_evidence(decision):
@@ -640,19 +642,10 @@ class NeoBftReplica(BaseReplica):
         self._after_valid_decision(decision)
 
     def _validate_drop_evidence(self, decision: GapDecision) -> bool:
-        evidence = decision.drop_evidence
-        if len(evidence) < self.group.quorum:
-            return False
-        seen = set()
-        for drop in evidence:
-            if drop.replica in seen or drop.replica not in self.group.replica_addrs:
-                return False
-            if drop.slot != decision.slot or drop.view != decision.view:
-                return False
-            if not self.crypto.verify(drop.signature, drop.signed_body()):
-                return False
-            seen.add(drop.replica)
-        return True
+        return self.certified(
+            decision.drop_evidence,
+            lambda drop: drop.slot == decision.slot and drop.view == decision.view,
+        )
 
     def _after_valid_decision(self, decision: GapDecision) -> None:
         state = self._gap_state(decision.slot)
@@ -670,7 +663,7 @@ class NeoBftReplica(BaseReplica):
             return
         if prepare.replica not in self.group.replica_addrs:
             return
-        if not self.crypto.verify(prepare.signature, prepare.signed_body()):
+        if not self.crypto.verify(prepare.replica, prepare.signed_body(), prepare.signature):
             return
         state = self._gap_state(prepare.slot)
         state.prepares[prepare.is_drop][prepare.replica] = prepare
@@ -695,7 +688,7 @@ class NeoBftReplica(BaseReplica):
             return
         if commit.replica not in self.group.replica_addrs or commit.replica != src:
             return
-        if not self.crypto.verify(commit.signature, commit.signed_body()):
+        if not self.crypto.verify(commit.replica, commit.signed_body(), commit.signature):
             return
         state = self._gap_state(commit.slot)
         state.commits[commit.is_drop][commit.replica] = commit
@@ -744,7 +737,7 @@ class NeoBftReplica(BaseReplica):
     def _on_sync(self, src: int, sync: SyncMessage) -> None:
         if sync.view != self.view_id or sync.replica != src:
             return
-        if not self.crypto.verify_mac_from(src, sync.signed_body(), sync.signature):
+        if not self.crypto.verify_mac_from(src, sync.signed_body(), sync.tag):
             return
         for slot, cert in sync.drops:
             self._apply_foreign_gap_cert(slot, cert)
@@ -774,17 +767,14 @@ class NeoBftReplica(BaseReplica):
     def _apply_foreign_gap_cert(self, slot: int, cert: Tuple[GapCommit, ...]) -> None:
         if slot in self._gap_certs:
             return
-        if len(cert) < self.group.quorum:
+        epoch = self.view_id.epoch
+        if not self.certified(
+            cert,
+            lambda commit: commit.is_drop
+            and commit.slot == slot
+            and commit.view.epoch == epoch,
+        ):
             return
-        seen = set()
-        for commit in cert:
-            if commit.replica in seen or not commit.is_drop:
-                return
-            if commit.slot != slot or commit.view.epoch != self.view_id.epoch:
-                return
-            if not self.crypto.verify(commit.signature, commit.signed_body()):
-                return
-            seen.add(commit.replica)
         entry = self.log.get(slot)
         if slot < self.log.low_water or (entry is not None and entry.kind == EntryKind.NOOP):
             self._gap_certs[slot] = cert
@@ -835,7 +825,7 @@ class NeoBftReplica(BaseReplica):
             return
         if vc.new_view <= self.view_id:
             return
-        if not self.crypto.verify(vc.signature, vc.signed_body()):
+        if not self.crypto.verify(vc.replica, vc.signed_body(), vc.signature):
             return
         bucket = self._vc_messages.setdefault(vc.new_view, {})
         bucket[vc.replica] = vc
@@ -868,19 +858,15 @@ class NeoBftReplica(BaseReplica):
     def _on_view_start(self, src: int, start: ViewStart) -> None:
         if start.new_view <= self.view_id:
             return
-        if src != self.group.leader_addr(start.new_view.leader_num):
+        leader = self.group.leader_addr(start.new_view.leader_num)
+        if src != leader:
             return
-        if not self.crypto.verify(start.signature, start.signed_body()):
+        if not self.crypto.verify(leader, start.signed_body(), start.signature):
             return
-        if len(start.view_changes) < self.group.quorum:
+        if not self.certified(
+            start.view_changes, lambda vc: vc.new_view == start.new_view
+        ):
             return
-        seen = set()
-        for vc in start.view_changes:
-            if vc.new_view != start.new_view or vc.replica in seen:
-                return
-            if not self.crypto.verify(vc.signature, vc.signed_body()):
-                return
-            seen.add(vc.replica)
         self._adopt_view_start(start)
 
     def _adopt_view_start(self, start: ViewStart) -> None:
@@ -908,7 +894,9 @@ class NeoBftReplica(BaseReplica):
             return
         if epoch_start.epoch <= self.view_id.epoch:
             return
-        if not self.crypto.verify(epoch_start.signature, epoch_start.signed_body()):
+        if not self.crypto.verify(
+            epoch_start.replica, epoch_start.signed_body(), epoch_start.signature
+        ):
             return
         votes = self._epoch_start_votes.setdefault((epoch_start.epoch, epoch_start.slot), {})
         votes[epoch_start.replica] = epoch_start
@@ -1085,16 +1073,10 @@ class NeoBftReplica(BaseReplica):
 
     def _entry_is_valid(self, entry: LogEntrySummary) -> bool:
         if entry.is_noop:
-            if len(entry.gap_cert) < self.group.quorum:
-                return False
-            seen = set()
-            for commit in entry.gap_cert:
-                if commit.replica in seen or commit.slot != entry.slot or not commit.is_drop:
-                    return False
-                if not self.crypto.verify(commit.signature, commit.signed_body()):
-                    return False
-                seen.add(commit.replica)
-            return True
+            return self.certified(
+                entry.gap_cert,
+                lambda commit: commit.slot == entry.slot and commit.is_drop,
+            )
         if entry.oc is None:
             return False
         return self._validate_oc(entry.oc)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from repro.crypto.backend import Signature
 from repro.crypto.digests import fields_digest, remember
 from repro.crypto.hmacvec import HmacVector
 from repro.protocols import adversary
@@ -137,7 +136,7 @@ class PbftViewChange:
     last_stable: int
     prepared: Tuple[PreparedProof, ...]
     replica: int
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(
@@ -159,7 +158,7 @@ class PbftNewView:
     new_view: int
     view_changes: Tuple[PbftViewChange, ...]
     pre_prepares: Tuple[PrePrepare, ...]
-    signature: Optional[Signature] = None
+    signature: Optional[bytes] = None
 
     def signed_body(self) -> bytes:
         return fields_digest(

@@ -316,7 +316,7 @@ class PbftReplica(BaseReplica):
     def _on_view_change(self, src: int, vc: PbftViewChange) -> None:
         if vc.replica != src or vc.new_view <= self.view:
             return
-        if not self.crypto.verify(vc.signature, vc.signed_body()):
+        if not self.crypto.verify(vc.replica, vc.signed_body(), vc.signature):
             return
         bucket = self._vc_messages.setdefault(vc.new_view, {})
         bucket[vc.replica] = vc
@@ -376,19 +376,15 @@ class PbftReplica(BaseReplica):
     def _on_new_view(self, src: int, message: PbftNewView) -> None:
         if message.new_view <= self.view:
             return
-        if src != self.group.leader_addr(message.new_view):
+        leader = self.group.leader_addr(message.new_view)
+        if src != leader:
             return
-        if not self.crypto.verify(message.signature, message.signed_body()):
+        if not self.crypto.verify(leader, message.signed_body(), message.signature):
             return
-        if len(message.view_changes) < self.group.quorum:
+        if not self.certified(
+            message.view_changes, lambda vc: vc.new_view == message.new_view
+        ):
             return
-        seen = set()
-        for vc in message.view_changes:
-            if vc.replica in seen or vc.new_view != message.new_view:
-                return
-            if not self.crypto.verify(vc.signature, vc.signed_body()):
-                return
-            seen.add(vc.replica)
         self._adopt_new_view(message)
 
     def _adopt_new_view(self, message: PbftNewView) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.crypto.backend import Signature
 from repro.records import record
 from repro.sim.clock import us
 from repro.switchfab.tofino import PacketEngine
@@ -71,12 +70,12 @@ class ChainedToken:
     """The authenticator aom-pk packets carry."""
 
     prev_digest: bytes
-    signature: Optional[Signature]
+    signature: Optional[bytes]
 
     def wire_size(self) -> int:
         size = len(self.prev_digest)
         if self.signature is not None:
-            size += self.signature.wire_size()
+            size += len(self.signature)
         return size
 
 
@@ -86,7 +85,7 @@ class FpgaCoprocessor:
     Parameters
     ----------
     sign:
-        Callable producing a :class:`Signature` over given bytes under the
+        Callable producing the signature tag over given bytes under the
         sequencer switch's identity (bound by the aom layer).
     packet_rate_pps:
         The packet path's throughput ceiling (parser/hash/merger at
@@ -98,7 +97,7 @@ class FpgaCoprocessor:
 
     def __init__(
         self,
-        sign: Callable[[bytes], Signature],
+        sign: Callable[[bytes], bytes],
         packet_rate_pps: float = 1_110_000.0,
         precompute_rate_eps: float = 920_000.0,
         stock_capacity: int = 4_096,
@@ -156,7 +155,7 @@ class FpgaCoprocessor:
         done = self.packet_engine.admit(arrival)
         if done is None:
             return None
-        signature: Optional[Signature] = None
+        signature: Optional[bytes] = None
         if self._should_sign(arrival):
             sign_done = self.signer_engine.admit(arrival)
             if sign_done is not None:

@@ -87,7 +87,7 @@ class TestHotStuff:
         # A prepare QC must not validate as a commit QC (domain separation
         # by the phase inside the signed body).
         commit_body = qc_body(0, 1, Phase.COMMIT, b"d")
-        assert not ctx.verify_threshold_combined(prepare_qc.combined, commit_body)
+        assert not ctx.verify_threshold_combined(0, commit_body, prepare_qc.combined)
 
 
 class TestNeoBftStateSync:

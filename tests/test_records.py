@@ -159,9 +159,9 @@ def test_scan_finds_every_dataclass_in_the_package():
                 dataclass_types.add(value)
     declared = {getattr(sys.modules[module], name) for module, name, *_ in DECLARED}
     assert dataclass_types == declared
-    assert len(declared) == 92
+    assert len(declared) == 91
     options = [tuple(sorted(o.items())) for *_, o, _ in DECLARED]
-    assert options.count((("frozen", True),)) == 66
+    assert options.count((("frozen", True),)) == 65
     assert options.count((("frozen", True), ("order", True))) == 1
     assert options.count(()) == 25
 

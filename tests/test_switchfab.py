@@ -146,7 +146,7 @@ class TestFpgaCoprocessor:
         assert result is not None
         done, token = result
         assert token.signature is not None
-        assert authority.verify(token.signature, b"\x01" * 32)
+        assert authority.verify(1, b"\x01" * 32, token.signature)
         assert token.prev_digest == b"\x00" * 32
 
     def test_stock_depletes_and_refills(self):
