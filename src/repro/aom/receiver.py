@@ -226,8 +226,13 @@ class AomReceiverLib:
         packets = [parts[i] for i in sorted(parts)]
         reference = packets[0]
         full_vector: HmacVector = packets[0].auth.vector
-        for later in packets[1:]:
-            full_vector = full_vector.merge(later.auth.vector)
+        if len(packets) > 1:
+            for later in packets[1:]:
+                full_vector = full_vector.merge(later.auth.vector)
+            receiver_ids = self.epoch_config.receiver_ids
+            if full_vector.ids == receiver_ids:
+                # Every receiver's certificate shares the epoch's ids tuple.
+                full_vector = HmacVector(receiver_ids, full_vector.packed)
         my_id = self.host.address
         if not full_vector.has_entry(my_id):
             return  # vector does not cover me: inauthentic

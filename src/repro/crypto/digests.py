@@ -104,12 +104,14 @@ def fields_digest(*fields) -> bytes:
 def remember(message, name: str, value: bytes) -> bytes:
     """Keep ``value`` as ``message.<name>`` on a frozen message; return it.
 
-    A message that memoizes a digest declares ``<name> = None`` on its
-    class and computes the digest once per instance, so every receiver of
-    one sent object reuses it. ``dataclasses.replace`` builds a new
-    instance, so a modified copy (a forged one, say) starts without the
-    memo and is digested afresh. ``name`` is a plain attribute name:
-    instances of a class then keep sharing their attribute-dict keys.
+    A message that memoizes a digest declares ``<name>`` as a memo slot,
+    ``record(frozen=True, memo=("<name>",))``, and computes the digest
+    once per instance, so every receiver of one sent object reuses it.
+    ``dataclasses.replace`` builds a new instance, whose ``__init__`` sets
+    the memo to ``None``, so a modified copy (a forged one, say) starts
+    without it and is digested afresh. A name the class did not declare
+    raises :class:`AttributeError`: a record instance has no attribute
+    dict to put it in.
     """
     object.__setattr__(message, name, value)
     return value

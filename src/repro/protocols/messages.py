@@ -16,7 +16,7 @@ from repro.crypto.hmacvec import HmacVector
 from repro.records import record
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_canonical",))
 class ClientRequest:
     """<REQUEST, op, request-id> from a client."""
 
@@ -24,8 +24,6 @@ class ClientRequest:
     request_id: int
     op: bytes
     auth: Optional[HmacVector] = None  # MAC vector over the replicas
-
-    _canonical = None  # memo of canonical(); see remember
 
     def canonical(self) -> bytes:
         """Stable byte form the digest/MACs cover (computed once)."""
@@ -61,7 +59,7 @@ def batch_digest(batch: Tuple[ClientRequest, ...]) -> bytes:
     return fields_digest(b"batch", *[r.canonical() for r in batch])
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class ClientReply:
     """<REPLY, view, replica, request-id, result [, slot, log-hash]>."""
 
@@ -73,8 +71,6 @@ class ClientReply:
     log_hash: bytes = b""
     tag: bytes = b""  # MAC to the client
     extra: Any = None  # protocol-specific (e.g. Zyzzyva history/spec info)
-
-    _signed_body = None  # memo of signed_body(); see remember
 
     def signed_body(self) -> bytes:
         """Bytes the reply MAC covers (computed once)."""

@@ -36,7 +36,7 @@ def checkpoint_body(seq: int, state_digest: bytes, replica: int) -> bytes:
     return fields_digest(b"checkpoint", seq, state_digest, replica)
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class PrePrepare:
     """<PRE-PREPARE, v, n, d> plus the request batch (piggybacked)."""
 
@@ -45,8 +45,6 @@ class PrePrepare:
     digest: bytes
     batch: Tuple[ClientRequest, ...]
     auth: Optional[HmacVector] = None
-
-    _signed_body = None  # memo of signed_body(); see remember
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
@@ -60,7 +58,7 @@ class PrePrepare:
         return size
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class Prepare:
     """<PREPARE, v, n, d, i>."""
 
@@ -70,15 +68,13 @@ class Prepare:
     replica: int
     auth: Optional[HmacVector] = None
 
-    _signed_body = None  # memo of signed_body(); see remember
-
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
             self, "_signed_body", prepare_body(self.view, self.seq, self.digest, self.replica)
         )
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class Commit:
     """<COMMIT, v, n, d, i>."""
 
@@ -88,15 +84,13 @@ class Commit:
     replica: int
     auth: Optional[HmacVector] = None
 
-    _signed_body = None  # memo of signed_body(); see remember
-
     def signed_body(self) -> bytes:
         return self._signed_body or remember(
             self, "_signed_body", commit_body(self.view, self.seq, self.digest, self.replica)
         )
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class Checkpoint:
     """<CHECKPOINT, n, d, i>."""
 
@@ -104,8 +98,6 @@ class Checkpoint:
     state_digest: bytes
     replica: int
     auth: Optional[HmacVector] = None
-
-    _signed_body = None  # memo of signed_body(); see remember
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(

@@ -17,7 +17,7 @@ def order_req_body(view: int, seq: int, history: bytes, digest: bytes) -> bytes:
     return fields_digest(b"order-req", view, seq, history, digest)
 
 
-@record(frozen=True)
+@record(frozen=True, memo=("_signed_body",))
 class OrderReq:
     """<ORDER-REQ, v, n, h_n, d> plus the batch: primary -> replicas."""
 
@@ -27,8 +27,6 @@ class OrderReq:
     digest: bytes
     batch: Tuple[ClientRequest, ...]
     auth: Optional[HmacVector] = None
-
-    _signed_body = None  # memo of signed_body(); see remember
 
     def signed_body(self) -> bytes:
         return self._signed_body or remember(

@@ -1,19 +1,26 @@
-"""Record classes: dataclass fields with one compiled method per class.
+"""Record classes: slotted dataclass fields with one compiled method per class.
 
 ``@record``, ``@record(frozen=True)`` and ``@record(frozen=True,
 order=True)`` declare every message, option set and result type in the
 package. Field metadata comes from :func:`dataclasses.dataclass`, so
 ``dataclasses.fields``, ``replace``, ``is_dataclass``, the wire-size
-sizers and pickling see an ordinary dataclass. The difference is what is
+sizers and pickling see an ordinary dataclass. Each class is rebuilt
+once with ``__slots__``, as ``dataclass(slots=True)`` does, so no
+instance carries an attribute dict. The other difference is what is
 compiled: the stdlib generates ``__init__``, ``__repr__``, ``__eq__``,
 ``__hash__``, ``__setattr__`` and ``__delattr__`` (and four orderings)
 through ``exec`` for every class, and a process pays that for every
 class its imports declare. Here only ``__init__`` is compiled per class,
-with the stdlib's body, so instances get the same inline attribute
-values and construction cost. The other methods are written once below
-over an :func:`operator.attrgetter` of the fields and return what the
-stdlib's would: the same hash values, ``NotImplemented`` across classes,
-and :class:`dataclasses.FrozenInstanceError`.
+with the stdlib's body, so construction costs what the stdlib's does.
+The other methods are written once below over an
+:func:`operator.attrgetter` of the fields and return what the stdlib's
+would: the same hash values, ``NotImplemented`` across classes, and
+:class:`dataclasses.FrozenInstanceError`.
+
+A record that memoizes a value on its instances declares the memo's
+name, ``record(frozen=True, memo=("_signed_body",))``: it gets a slot
+of its own, ``__init__`` sets it to ``None`` (so a ``replace`` copy
+starts without one), and no other name can be set on an instance.
 
 Fields take a default or a ``field(default_factory=...)``. A class body
 may write its own ``__repr__``; the other ``field()`` options,
@@ -45,16 +52,16 @@ class _DefaultFactory:
 _HAS_DEFAULT_FACTORY = _DefaultFactory()
 
 
-def record(cls=None, /, *, frozen: bool = False, order: bool = False):
-    """Make ``cls`` a record; usable bare or with ``frozen``/``order``."""
+def record(cls=None, /, *, frozen: bool = False, order: bool = False, memo: tuple = ()):
+    """Make ``cls`` a record; usable bare or with ``frozen``/``order``/``memo``."""
 
     def wrap(cls):
-        return _process(cls, frozen, order)
+        return _process(cls, frozen, order, tuple(memo))
 
     return wrap if cls is None else wrap(cls)
 
 
-def _process(cls, frozen: bool, order: bool):
+def _process(cls, frozen: bool, order: bool, memo: tuple):
     needs_doc = not cls.__doc__
     dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     fields = dataclasses.fields(cls)
@@ -67,8 +74,11 @@ def _process(cls, frozen: bool, order: bool):
                 f"{cls.__name__}.{f.name}: record fields take only a default or default_factory"
             )
     names = tuple(f.name for f in fields)
+    if len(set(names + memo)) != len(names) + len(memo):
+        raise TypeError(f"{cls.__name__}: memo names must differ from the fields and each other")
+    cls = _slotted(cls, names + memo)
 
-    cls.__init__ = _init_fn(cls, fields, names, frozen)
+    cls.__init__ = _init_fn(cls, fields, names, memo, frozen)
     cls._record_key = staticmethod(_tuple_getter(names))
     cls._record_names = names
     if "__repr__" not in cls.__dict__:  # as in the stdlib, the body's wins
@@ -77,7 +87,12 @@ def _process(cls, frozen: bool, order: bool):
     if order:
         methods.update(_ORDERING)
     if frozen:
-        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+        methods.update(
+            __setattr__=_frozen_setattr,
+            __delattr__=_frozen_delattr,
+            __getstate__=_frozen_getstate,
+            __setstate__=_frozen_setstate,
+        )
     for name, method in methods.items():
         if name in cls.__dict__:
             raise TypeError(f"{cls.__name__}: a record cannot define {name} itself")
@@ -86,6 +101,23 @@ def _process(cls, frozen: bool, order: bool):
         signature = str(inspect.signature(cls)).replace(" -> None", "")
         cls.__doc__ = cls.__name__ + signature
     return cls
+
+
+def _slotted(cls, slots):
+    """``cls`` rebuilt with ``__slots__ = slots`` (fields, then memos).
+
+    A slot is a class attribute, so the fields' defaults leave the class
+    body; ``__init__`` and the field metadata keep them.
+    """
+    namespace = {
+        name: value
+        for name, value in cls.__dict__.items()
+        if name not in slots and name not in ("__dict__", "__weakref__")
+    }
+    namespace["__slots__"] = slots
+    slotted = type(cls)(cls.__name__, cls.__bases__, namespace)
+    slotted.__qualname__ = cls.__qualname__
+    return slotted
 
 
 def _tuple_getter(names):
@@ -98,14 +130,15 @@ def _tuple_getter(names):
     return lambda obj: ()
 
 
-def _init_fn(cls, fields, names, frozen: bool):
-    """Compile ``cls.__init__`` with the body ``dataclasses`` would give it."""
+def _init_fn(cls, fields, names, memo, frozen: bool):
+    """Compile ``cls.__init__`` with the body ``dataclasses`` would give it,
+    plus one ``None`` per memo."""
     self_name = "__dataclass_self__" if "self" in names else "self"
     namespace = {
         "__dataclass_builtins_object__": object,
         "_HAS_DEFAULT_FACTORY": _HAS_DEFAULT_FACTORY,
     }
-    params, body = [self_name], []
+    params, assignments = [self_name], []
     for f in fields:
         name = f.name
         if f.default_factory is not _MISSING:
@@ -119,10 +152,15 @@ def _init_fn(cls, fields, names, frozen: bool):
             else:
                 params.append(name)
             value = name
-        if frozen:
-            body.append(f"__dataclass_builtins_object__.__setattr__({self_name},{name!r},{value})")
-        else:
-            body.append(f"{self_name}.{name}={value}")
+        assignments.append((name, value))
+    assignments += [(name, "None") for name in memo]
+    if frozen:
+        body = [
+            f"__dataclass_builtins_object__.__setattr__({self_name},{name!r},{value})"
+            for name, value in assignments
+        ]
+    else:
+        body = [f"{self_name}.{name}={value}" for name, value in assignments]
     if hasattr(cls, "__post_init__"):
         body.append(f"{self_name}.__post_init__()")
     source = (
@@ -195,3 +233,17 @@ def _frozen_delattr(self, name):
     if _owns_fields(self, name):
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
     object.__delattr__(self, name)
+
+
+def _frozen_getstate(self):
+    # Pickling a slotted instance would otherwise restore it through
+    # ``setattr``, which a frozen record refuses. Memos are not carried:
+    # the copy computes its own.
+    return self._record_key(self)
+
+
+def _frozen_setstate(self, state):
+    for name, value in zip(self._record_names, state):
+        object.__setattr__(self, name, value)
+    for name in self.__slots__[len(self._record_names):]:
+        object.__setattr__(self, name, None)

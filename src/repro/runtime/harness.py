@@ -232,8 +232,8 @@ def run_sweep(
     """
     counts = list(client_counts) if client_counts is not None else [base_options.num_clients]
     seed_list = list(seeds) if seeds is not None else [base_options.seed]
-    # dataclasses.replace keeps any future non-field state out of the
-    # copy (a raw __dict__ splat resurrects stale attributes).
+    # Each point is a new ClusterOptions: dataclasses.replace calls its
+    # __init__ with the base's fields and the point's changes.
     points = [
         replace(base_options, num_clients=count, seed=seed)
         for count in counts

@@ -8,6 +8,7 @@ as keying BLAKE2s per call.
 """
 
 import hashlib
+import pickle
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 from repro.aom import messages as aom_messages
 from repro.crypto.backend import CryptoContext, KeyAuthority
 from repro.crypto.costmodel import CostModel
+from repro.crypto.digests import remember
 from repro.crypto.hmacvec import HMAC_TAG_SIZE, mac_state, mac_with, sim_mac
 from repro.faults.behaviors import corrupt_replies
 from repro.protocols import messages as client_messages
@@ -102,13 +104,26 @@ class TestMemo:
         for name, body in bodies.items():
             assert getattr(changed, name)() != body
 
-    def test_memo_keys_are_strings(self, cls):
-        # A non-string key would turn the instance dict into a combined
-        # table, which costs memory on every message.
+    def test_memos_are_declared_slots(self, cls):
+        # A memo is a slot the class declares; there is no instance dict
+        # to hold any other name.
+        memos = tuple(MEMO_OF[name] for name in digest_methods(cls))
+        assert cls.__slots__ == tuple(f.name for f in fields(cls)) + memos
+        message = MEMOIZED[cls]()
+        with pytest.raises(AttributeError):
+            remember(message, "_undeclared", b"x")
+        for name in digest_methods(cls):
+            getattr(message, name)()
+            assert getattr(replace(message), MEMO_OF[name]) is None
+
+    def test_pickled_copy_is_equal(self, cls):
         message = MEMOIZED[cls]()
         for name in digest_methods(cls):
             getattr(message, name)()
-        assert all(type(key) is str for key in vars(message))
+        restored = pickle.loads(pickle.dumps(message))
+        assert type(restored) is cls and restored == message
+        for name in digest_methods(cls):
+            assert getattr(restored, name)() == getattr(message, name)()
 
 
 def _pbft_cluster():

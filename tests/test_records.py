@@ -4,7 +4,8 @@ Every class declared with ``repro.records.record`` in ``src/`` is found by
 a scan of the package's source, rebuilt under ``dataclasses.dataclass``
 with the same options, and checked to behave the same: fields,
 signature, equality, hashes, repr, ordering, frozenness, ``replace``,
-pickling and instance size. Only ``__init__`` may be compiled per class.
+pickling and instance size. Only ``__init__`` may be compiled per class,
+and no record instance has an attribute dict.
 """
 
 import ast
@@ -14,6 +15,7 @@ import inspect
 import pathlib
 import pickle
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +25,18 @@ from repro import records
 
 SRC = pathlib.Path(repro.__file__).parent
 
-#: The methods the stdlib would generate for a record.
+#: The methods the stdlib would generate for a (slotted) record.
 GENERATED = {
     "__init__", "__repr__", "__eq__", "__hash__",
     "__lt__", "__le__", "__gt__", "__ge__", "__setattr__", "__delattr__",
+    "__getstate__", "__setstate__",
 }
 #: records.py's per-class data (the compared fields and their getter).
 RECORD_DATA = {"_record_key", "_record_names"}
 #: Class attributes the stdlib decorator or the class statement makes.
 NOT_FROM_THE_BODY = {
     "__dict__", "__weakref__", "__doc__", "__dataclass_fields__",
-    "__dataclass_params__", "__match_args__",
+    "__dataclass_params__", "__match_args__", "__slots__",
 } | GENERATED | RECORD_DATA
 
 
@@ -74,18 +77,26 @@ def _scan():
 DECLARED = _scan()
 
 
-def _rebuilt(cls, options, doc=None, decorator=dataclasses.dataclass):
-    """``cls`` rebuilt from its class body, by default under ``dataclasses.dataclass``."""
+def _rebuilt(cls, options, doc=None, slots=False):
+    """``cls`` rebuilt from its class body under ``dataclasses.dataclass``.
+
+    A slot's member descriptor is not from the body; a field's default
+    is. The stdlib takes no ``memo`` option.
+    """
     namespace = {"__doc__": doc}
     for name, value in vars(cls).items():
-        if name not in NOT_FROM_THE_BODY:
+        if name in NOT_FROM_THE_BODY:
+            if name in GENERATED - {"__init__"} and value is not None and not _from_records(value):
+                namespace[name] = value  # written in the class body
+        elif not isinstance(value, types.MemberDescriptorType):  # a slot
             namespace[name] = value
-        elif name in GENERATED - {"__init__"} and value is not None and not _from_records(value):
-            namespace[name] = value  # written in the class body
     for f in dataclasses.fields(cls):
         if f.default_factory is not dataclasses.MISSING:
             namespace[f.name] = dataclasses.field(default_factory=f.default_factory)
-    return decorator(**options)(type(cls.__name__, (), namespace))
+        elif f.default is not dataclasses.MISSING:
+            namespace[f.name] = f.default
+    options = {k: v for k, v in options.items() if k != "memo"}
+    return dataclasses.dataclass(slots=slots, **options)(type(cls.__name__, (), namespace))
 
 
 def _from_records(value):
@@ -161,7 +172,9 @@ def test_scan_finds_every_dataclass_in_the_package():
     assert dataclass_types == declared
     assert len(declared) == 91
     options = [tuple(sorted(o.items())) for *_, o, _ in DECLARED]
-    assert options.count((("frozen", True),)) == 65
+    assert options.count((("frozen", True),)) == 58
+    assert options.count((("frozen", True), ("memo", ("_signed_body",)))) == 6
+    assert options.count((("frozen", True), ("memo", ("_canonical",)))) == 1
     assert options.count((("frozen", True), ("order", True))) == 1
     assert options.count(()) == 25
 
@@ -250,23 +263,21 @@ class TestAgainstStdlib:
         assert type(restored) is cls and restored == mine
 
     def test_same_instance_size(self, cls, ref, options):
-        # Both __init__ bodies store the fields in the same order, so the
-        # instances' attribute dicts share keys alike. Both classes are
-        # built afresh: a memo that other tests stored on an instance has
-        # grown its class's shared keys.
-        mine_cls = _rebuilt(cls, options, decorator=records.record)
-        theirs_cls = _rebuilt(cls, options)
+        # A record is as small as the stdlib's slotted rebuild of the same
+        # body, plus one pointer per declared memo, and has no dict.
+        assert cls.__dictoffset__ == 0
+        theirs_cls = _rebuilt(cls, options, slots=True)
         kwargs = {
             f.name: 0 for f in dataclasses.fields(cls)
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         }
-        mine, error = _build(mine_cls, kwargs)
+        mine, error = _build(cls, kwargs)
         theirs, ref_error = _build(theirs_cls, kwargs)
         assert error == ref_error
         if error is None:
-            assert sys.getsizeof(mine) == sys.getsizeof(theirs)
-            assert sys.getsizeof(vars(mine)) == sys.getsizeof(vars(theirs))
-            assert list(vars(mine)) == list(vars(theirs))
+            memos = len(options.get("memo", ()))
+            assert sys.getsizeof(mine) == sys.getsizeof(theirs) + 8 * memos
+            assert not hasattr(mine, "__dict__")
 
 
 def test_options_and_unsupported_fields():
@@ -281,6 +292,10 @@ def test_options_and_unsupported_fields():
         @records.record
         class Hidden:
             a: int = dataclasses.field(default=0, repr=False)
+    with pytest.raises(TypeError):
+        @records.record(frozen=True, memo=("a",))
+        class MemoNamedLikeAField:
+            a: int
     with pytest.raises(TypeError):
         @records.record(frozen=True)
         class OwnSetattr:

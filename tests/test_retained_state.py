@@ -10,6 +10,8 @@ from repro.protocols.messages import ClientRequest, request_body
 from repro.runtime import ClusterOptions, Measurement, build_cluster
 from repro.sim.clock import ms
 
+from tests.aom_harness import AomRig
+
 
 def test_every_vector_a_pbft_replica_sends_shares_its_peer_tuple():
     cluster = build_cluster(ClusterOptions(protocol="pbft", num_clients=4, seed=3))
@@ -49,6 +51,16 @@ def test_every_confirm_an_aom_bn_receiver_makes_shares_one_peer_tuple():
         peers = vectors[0].ids
         assert peers == tuple(a for a in replica.group.replica_addrs if a != replica.address)
         assert all(vector.ids is peers for vector in vectors)
+
+
+def test_reassembled_aom_hm_vectors_share_the_epochs_receiver_ids():
+    rig = AomRig(receivers=8)  # 2 subgroups of 4
+    rig.multicast("wide")
+    rig.sim.run()
+    first, second = (host.certs[0].hm_vector for host in rig.receivers[:2])
+    assert first.ids == tuple(host.address for host in rig.receivers)
+    assert first.ids is second.ids
+    assert first.packed == second.packed
 
 
 def test_echo_app_returns_one_shared_inverse():
